@@ -19,10 +19,11 @@ import sys
 
 import numpy as np
 
-from .datasets import make_synthetic, write_letor
+from .datasets import write_letor
 from .evaluation import welch_t_test
 from .experiments import (
     ExperimentConfig,
+    SyntheticSpec,
     emit_outputs,
     read_trace_csv,
     run_experiment,
@@ -73,15 +74,16 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+SYNTH_REQUIRED = ("num_queries", "docs_per_query", "feature_dim", "seed")
+
+
 def _cmd_synth(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
-    data = make_synthetic(
-        num_queries=int(spec["num_queries"]),
-        docs_per_query=int(spec["docs_per_query"]),
-        feature_dim=int(spec["feature_dim"]),
-        seed=int(spec["seed"]),
-    )
+    missing = [name for name in SYNTH_REQUIRED if name not in spec]
+    if missing:
+        raise ValueError(f"synthetic spec is missing fields: {missing}")
+    data = SyntheticSpec.from_dict(spec).make()
     os.makedirs(args.out_dir, exist_ok=True)
     train_path = os.path.join(args.out_dir, "train.txt")
     test_path = os.path.join(args.out_dir, "test.txt")
@@ -110,7 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_synth = sub.add_parser("synth", help="write a synthetic dataset in LETOR format")
-    p_synth.add_argument("spec", help="JSON file with num_queries, docs_per_query, feature_dim, seed")
+    p_synth.add_argument(
+        "spec",
+        help="JSON file with num_queries, docs_per_query, feature_dim, seed; optionally hardness, grade_bins",
+    )
     p_synth.add_argument("out_dir", help="directory to write train.txt and test.txt into")
     p_synth.set_defaults(func=_cmd_synth)
     return parser

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from operator import getitem
 
 import numpy as np
 
@@ -62,14 +63,8 @@ class Dataset:
                 )
 
 
-def _parse_line(line: str, lineno: int):
-    """Parse one data line into (grade, qid, {fid: value})."""
-    comment = line.find("#")
-    if comment >= 0:
-        line = line[:comment]
-    tokens = line.split()
-    if not tokens:
-        return None
+def _parse_head(tokens: list[str], line: str, lineno: int) -> tuple[int, str]:
+    """The grade and query id of a non-empty data line."""
     if len(tokens) < 2 or not tokens[1].startswith("qid:"):
         raise ValueError(f"line {lineno}: expected '<grade> qid:<id> ...', got {line.strip()!r}")
     try:
@@ -81,8 +76,13 @@ def _parse_line(line: str, lineno: int):
     qid = tokens[1][len("qid:"):]
     if not qid:
         raise ValueError(f"line {lineno}: empty query id")
+    return grade, qid
+
+
+def _feature_values(tokens: list[str], lineno: int) -> dict[int, float]:
+    """Read ``fid:val`` tokens one by one; a repeated fid keeps its last value."""
     values: dict[int, float] = {}
-    for token in tokens[2:]:
+    for token in tokens:
         fid_str, sep, val_str = token.partition(":")
         if not sep:
             raise ValueError(f"line {lineno}: malformed feature token {token!r}")
@@ -94,7 +94,32 @@ def _parse_line(line: str, lineno: int):
         if fid < 1:
             raise ValueError(f"line {lineno}: feature id must be >= 1, got {fid}")
         values[fid] = val
-    return grade, qid, values
+    return values
+
+
+def _read_features(tokens: list[str], lineno: int, dense: tuple[tuple[str, ...], tuple[slice, ...]]):
+    """Columns, values and largest feature id of a line's ``fid:val`` tokens.
+
+    A line that lists features ``1..m`` in order, as MSLR and LETOR 4.0
+    files do, converts its values in one pass: ``dense`` holds the
+    prefixes ``"1:"``, ``"2:"``, ... and the slices that cut them off.  Any
+    other line, or one with a value that does not convert, is read token by
+    token, which also raises the error naming the first bad token.
+    """
+    prefixes, cuts = dense
+    if all(map(str.startswith, tokens, prefixes)):
+        try:
+            return slice(0, len(tokens)), list(map(float, map(getitem, tokens, cuts))), len(tokens)
+        except ValueError:
+            pass
+    values = _feature_values(tokens, lineno)
+    return np.fromiter(values, np.intp, len(values)) - 1, list(values.values()), max(values)
+
+
+def _count_line_breaks(path: str | os.PathLike) -> int:
+    """Line-break bytes in a file: with one added, at least its number of lines."""
+    with open(path, "rb") as fh:
+        return sum(chunk.count(b"\n") + chunk.count(b"\r") for chunk in iter(lambda: fh.read(1 << 20), b""))
 
 
 def parse_letor(path: str | os.PathLike, feature_dim: int | None = None) -> tuple[list[Query], int]:
@@ -104,18 +129,44 @@ def parse_letor(path: str | os.PathLike, feature_dim: int | None = None) -> tupl
     first appearance.  Returns ``(queries, feature_dim)`` where the
     dimension is the largest feature id seen unless an explicit
     ``feature_dim`` is given (useful to align train and test files).
+
+    The file is read once, line by line, and each line's grade, query and
+    features are written straight into preallocated arrays; each query's
+    arrays are slices of them.
     """
-    rows = []
-    max_fid = 0
+    capacity = _count_line_breaks(path) + 1
+    features = np.zeros((capacity, max(feature_dim or 0, 0)))
+    grades = np.empty(capacity, dtype=np.int64)
+    owners = np.empty(capacity, dtype=np.intp)
+    qids: dict[str, int] = {}
+    dense: tuple[tuple[str, ...], tuple[slice, ...]] = ((), ())
+    n = max_fid = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            parsed = _parse_line(line, lineno)
-            if parsed is None:
+            comment = line.find("#")
+            if comment >= 0:
+                line = line[:comment]
+            tokens = line.split()
+            if not tokens:
                 continue
-            rows.append(parsed)
-            if parsed[2]:
-                max_fid = max(max_fid, max(parsed[2]))
-    if not rows:
+            grade, qid = _parse_head(tokens, line, lineno)
+            if len(tokens) > 2:
+                if len(tokens) - 2 > len(dense[0]):
+                    prefixes = tuple(f"{fid}:" for fid in range(1, len(tokens) - 1))
+                    dense = prefixes, tuple(slice(len(p), None) for p in prefixes)
+                cols, vals, top = _read_features(tokens[2:], lineno, dense)
+                max_fid = max(max_fid, top)
+                if top > features.shape[1] and feature_dim is None:
+                    # Grow geometrically so a file whose ids keep rising copies O(log dim) times.
+                    grown = np.zeros((capacity, max(top, features.shape[1] * 3 // 2)))
+                    grown[:n, : features.shape[1]] = features[:n]
+                    features = grown
+                if top <= features.shape[1]:  # else the file is refused below, once every line is read
+                    features[n, cols] = vals
+            grades[n] = grade
+            owners[n] = qids.setdefault(qid, len(qids))
+            n += 1
+    if not n:
         raise ValueError(f"{path}: no documents found")
     dim = feature_dim if feature_dim is not None else max_fid
     if dim < 1:
@@ -123,20 +174,17 @@ def parse_letor(path: str | os.PathLike, feature_dim: int | None = None) -> tupl
     if max_fid > dim:
         raise ValueError(f"{path}: feature id {max_fid} exceeds feature_dim {dim}")
 
-    grouped: dict[str, list[tuple[int, dict[int, float]]]] = {}
-    for grade, qid, values in rows:
-        grouped.setdefault(qid, []).append((grade, values))
-
-    queries = []
-    for qid, docs in grouped.items():
-        features = np.zeros((len(docs), dim))
-        grades = np.zeros(len(docs), dtype=np.int64)
-        for i, (grade, values) in enumerate(docs):
-            grades[i] = grade
-            for fid, val in values.items():
-                features[i, fid - 1] = val
-        queries.append(Query(qid=qid, features=features, relevance=grades))
-    return queries, dim
+    features = np.ascontiguousarray(features[:n, :dim])
+    grades, owners = grades[:n], owners[:n]
+    if np.any(owners[1:] < owners[:-1]):  # a query's documents are not contiguous: gather them
+        order = np.argsort(owners, kind="stable")
+        features, grades, owners = features[order], grades[order], owners[order]
+    ends = np.cumsum(np.bincount(owners))
+    starts = ends - np.bincount(owners)
+    return [
+        Query(qid=qid, features=features[a:b], relevance=grades[a:b])
+        for qid, a, b in zip(qids, starts, ends)
+    ], dim
 
 
 def write_letor(queries: list[Query], path: str | os.PathLike) -> None:
@@ -241,19 +289,31 @@ def make_synthetic(
     return Dataset(train=gen_split("tr"), test=gen_split("te"), feature_dim=feature_dim)
 
 
+def _zero_pad(queries: list[Query], dim: int) -> list[Query]:
+    """Queries widened to ``dim`` features with zero columns, as absent feature ids read."""
+    padded = []
+    for q in queries:
+        missing = dim - q.features.shape[1]
+        if missing:
+            q = Query(qid=q.qid, features=np.pad(q.features, ((0, 0), (0, missing))), relevance=q.relevance)
+        padded.append(q)
+    return padded
+
+
 def load_dataset(
     train_path: str | os.PathLike,
     test_path: str | os.PathLike,
     normalize: bool = True,
 ) -> Dataset:
-    """Load train/test files, align feature dimensions, optionally normalize."""
+    """Load train/test files, align feature dimensions, optionally normalize.
+
+    Each file is parsed once; the split with fewer features is zero-padded
+    to the other's width.
+    """
     train, dim_train = parse_letor(train_path)
     test, dim_test = parse_letor(test_path)
     dim = max(dim_train, dim_test)
-    if dim_train != dim:
-        train, _ = parse_letor(train_path, feature_dim=dim)
-    if dim_test != dim:
-        test, _ = parse_letor(test_path, feature_dim=dim)
+    train, test = _zero_pad(train, dim), _zero_pad(test, dim)
     if normalize:
         train = normalize_query_level(train)
         test = normalize_query_level(test)

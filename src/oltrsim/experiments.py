@@ -42,6 +42,30 @@ class SyntheticSpec:
     def __post_init__(self):
         object.__setattr__(self, "grade_bins", tuple(self.grade_bins))
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "SyntheticSpec":
+        """A spec from JSON-like input; unknown keys and non-numeric sizes are refused."""
+        unknown = set(data) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown synthetic spec fields: {sorted(unknown)}")
+        integers = ("num_queries", "docs_per_query", "feature_dim", "seed")
+        kinds = {**{name: (int, "an integer") for name in integers}, "hardness": ((int, float), "a number")}
+        for name, (kind, described) in kinds.items():
+            if name in data and (isinstance(data[name], bool) or not isinstance(data[name], kind)):
+                raise ValueError(f"synthetic spec field {name} must be {described}, got {data[name]!r}")
+        return cls(**data)
+
+    def make(self) -> datasets.Dataset:
+        """Generate the dataset this spec describes."""
+        return datasets.make_synthetic(
+            self.num_queries,
+            self.docs_per_query,
+            self.feature_dim,
+            self.seed,
+            hardness=self.hardness,
+            grade_bins=self.grade_bins,
+        )
+
 
 # The benchmark dataset the desk-scale comparisons run on.  The quadratic
 # hardness term and sparse grades (half the documents graded 0, one in
@@ -118,7 +142,7 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
         if data.get("synthetic") is not None:
-            data["synthetic"] = SyntheticSpec(**data["synthetic"])
+            data["synthetic"] = SyntheticSpec.from_dict(data["synthetic"])
         unknown = set(data) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -165,15 +189,7 @@ def load_config_dataset(config: ExperimentConfig) -> datasets.Dataset:
     synthetic data is used as generated unless ``normalize`` is forced on.
     """
     if config.synthetic is not None:
-        spec = config.synthetic
-        data = datasets.make_synthetic(
-            spec.num_queries,
-            spec.docs_per_query,
-            spec.feature_dim,
-            spec.seed,
-            hardness=spec.hardness,
-            grade_bins=spec.grade_bins,
-        )
+        data = config.synthetic.make()
         if config.normalize:
             data = datasets.Dataset(
                 train=datasets.normalize_query_level(data.train),
@@ -256,10 +272,9 @@ _POOL_CONFIG: ExperimentConfig | None = None
 _POOL_DATASET: datasets.Dataset | None = None
 
 
-def _pool_init(config_dict: dict) -> None:
+def _pool_init(config: ExperimentConfig, data: datasets.Dataset) -> None:
     global _POOL_CONFIG, _POOL_DATASET
-    _POOL_CONFIG = ExperimentConfig.from_dict(config_dict)
-    _POOL_DATASET = load_config_dataset(_POOL_CONFIG)
+    _POOL_CONFIG, _POOL_DATASET = config, data
 
 
 def _pool_run(run_index: int) -> RunResult:
@@ -281,26 +296,62 @@ def run_experiment(
 ) -> tuple[list[RunResult], dict]:
     """Execute all repeats of a config and aggregate the final metric.
 
-    Runs are independent and order-insensitive; the worker count (argument,
-    else the ``OLTR_WORKERS`` environment variable, else the CPU count)
-    changes only wall-clock time, never results.
+    The dataset is loaded once, in this process, and shared with the
+    workers.  Runs are independent and order-insensitive; the worker count
+    (argument, else the ``OLTR_WORKERS`` environment variable, else the CPU
+    count) changes only wall-clock time, never results.
     """
     config.validate()
+    load_baseline(config)  # refuse an incomparable baseline before the runs, not after
     n_workers = resolve_workers(workers)
     indices = list(range(config.repeats))
+    data = load_config_dataset(config)
     if n_workers == 1 or config.repeats == 1:
-        data = load_config_dataset(config)
         results = [run_with_dataset(config, i, data) for i in indices]
     else:
+        # Workers get the parent's dataset; under the fork start method they
+        # inherit its arrays instead of receiving a pickled copy.
         with ProcessPoolExecutor(
             max_workers=min(n_workers, config.repeats),
             initializer=_pool_init,
-            initargs=(config.to_dict(),),
+            initargs=(config, data),
         ) as pool:
             results = list(pool.map(_pool_run, indices))
     results.sort(key=lambda r: r.run_id)
     summary = summarize(config, results)
     return results, summary
+
+
+def _comparable_fields(config: dict) -> dict:
+    """The fields a Welch test against another run set needs to be equal, as JSON values."""
+    normalize = config.get("normalize")
+    if normalize is None:  # the default: files yes, synthetic no
+        normalize = config.get("synthetic") is None
+    fields = {name: config.get(name) for name in ("synthetic", "train_path", "test_path", "impressions")}
+    return json.loads(json.dumps({**fields, "normalize": normalize}))
+
+
+def load_baseline(config: ExperimentConfig) -> dict | None:
+    """The summary in ``config.baseline_dir``, if any, once it is shown to be comparable.
+
+    Raises ``ValueError`` naming every field in which the baseline's
+    dataset, horizon or checkpoint schedule differs from this config's.
+    """
+    if not config.baseline_dir:
+        return None
+    with open(os.path.join(config.baseline_dir, "summary.json"), "r", encoding="utf-8") as fh:
+        baseline = json.load(fh)
+    ours = _comparable_fields(config.to_dict())
+    ours["checkpoint_schedule"] = checkpoint_schedule(config.impressions, config.num_checkpoints)
+    theirs = _comparable_fields(baseline.get("config", {}))
+    theirs["checkpoint_schedule"] = baseline.get("checkpoint_schedule")
+    differing = [name for name in ours if ours[name] != theirs[name]]
+    if differing:
+        raise ValueError(
+            f"baseline {config.baseline_dir} is not comparable: "
+            + "; ".join(f"{name} is {theirs[name]!r} there, {ours[name]!r} here" for name in differing)
+        )
+    return baseline
 
 
 def summarize(config: ExperimentConfig, results: list[RunResult]) -> dict:
@@ -317,9 +368,8 @@ def summarize(config: ExperimentConfig, results: list[RunResult]) -> dict:
         "significance_test": "welch_two_sided",
         "checkpoint_schedule": checkpoint_schedule(config.impressions, config.num_checkpoints),
     }
-    if config.baseline_dir:
-        with open(os.path.join(config.baseline_dir, "summary.json"), "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
+    baseline = load_baseline(config)
+    if baseline is not None:
         t, p = welch_t_test(finals, np.asarray(baseline["per_run_final"]))
         summary["baseline"] = {
             "dir": config.baseline_dir,

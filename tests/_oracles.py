@@ -188,3 +188,69 @@ def central_difference_gradient(f, x, h=1e-6):
         step[i] = h
         grad[i] = (f(x + step) - f(x - step)) / (2.0 * h)
     return grad
+
+
+def reference_parse_letor(path, feature_dim=None):
+    """LETOR/SVMlight parsing one dict per line, as the loader first did.
+
+    Returns ``([(qid, features, grades), ...], dim)`` with queries in order
+    of first appearance, and raises the same line-numbered ``ValueError``s
+    the package's parser must raise.
+    """
+    rows = []
+    max_fid = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            comment = line.find("#")
+            if comment >= 0:
+                line = line[:comment]
+            tokens = line.split()
+            if not tokens:
+                continue
+            if len(tokens) < 2 or not tokens[1].startswith("qid:"):
+                raise ValueError(f"line {lineno}: expected '<grade> qid:<id> ...', got {line.strip()!r}")
+            try:
+                grade = int(tokens[0])
+            except ValueError:
+                raise ValueError(f"line {lineno}: grade {tokens[0]!r} is not an integer") from None
+            if grade < 0 or grade > 4:
+                raise ValueError(f"line {lineno}: grade {grade} outside [0, 4]")
+            qid = tokens[1][len("qid:"):]
+            if not qid:
+                raise ValueError(f"line {lineno}: empty query id")
+            values = {}
+            for token in tokens[2:]:
+                fid_str, sep, val_str = token.partition(":")
+                if not sep:
+                    raise ValueError(f"line {lineno}: malformed feature token {token!r}")
+                try:
+                    fid = int(fid_str)
+                    val = float(val_str)
+                except ValueError:
+                    raise ValueError(f"line {lineno}: malformed feature token {token!r}") from None
+                if fid < 1:
+                    raise ValueError(f"line {lineno}: feature id must be >= 1, got {fid}")
+                values[fid] = val
+            rows.append((grade, qid, values))
+            if values:
+                max_fid = max(max_fid, max(values))
+    if not rows:
+        raise ValueError(f"{path}: no documents found")
+    dim = feature_dim if feature_dim is not None else max_fid
+    if dim < 1:
+        raise ValueError(f"{path}: could not infer a feature dimension")
+    if max_fid > dim:
+        raise ValueError(f"{path}: feature id {max_fid} exceeds feature_dim {dim}")
+    grouped = {}
+    for grade, qid, values in rows:
+        grouped.setdefault(qid, []).append((grade, values))
+    queries = []
+    for qid, docs in grouped.items():
+        features = np.zeros((len(docs), dim))
+        grades = np.zeros(len(docs), dtype=np.int64)
+        for i, (grade, values) in enumerate(docs):
+            grades[i] = grade
+            for fid, val in values.items():
+                features[i, fid - 1] = val
+        queries.append((qid, features, grades))
+    return queries, dim

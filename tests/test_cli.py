@@ -1,11 +1,13 @@
 import json
 import os
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from oltrsim.cli import main
-from oltrsim.datasets import parse_letor
-from oltrsim.experiments import SyntheticSpec
+from oltrsim.datasets import load_dataset, parse_letor
+from oltrsim.experiments import BUNDLED_SYNTHETIC, ExperimentConfig, SyntheticSpec, load_config_dataset
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -86,6 +88,37 @@ class TestSynth:
         assert dim == 3
         assert len(train) == 4 and len(test) == 4
         assert all(q.n_docs == 5 for q in train)
+
+    def test_exports_the_bundled_synthetic_set(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(asdict(BUNDLED_SYNTHETIC)))
+        out_dir = tmp_path / "data"
+        assert main(["synth", str(spec_path), str(out_dir)]) == 0
+        loaded = load_dataset(out_dir / "train.txt", out_dir / "test.txt", normalize=False)
+        expected = load_config_dataset(ExperimentConfig(synthetic=BUNDLED_SYNTHETIC))
+        assert loaded.feature_dim == expected.feature_dim
+        for split in ("train", "test"):
+            got, want = getattr(loaded, split), getattr(expected, split)
+            assert [q.qid for q in got] == [q.qid for q in want]
+            for a, b in zip(got, want):
+                assert np.array_equal(a.features, b.features)
+                assert np.array_equal(a.relevance, b.relevance)
+
+    def test_unknown_spec_key_fails(self, tmp_path, capsys):
+        spec = {"num_queries": 4, "docs_per_query": 5, "feature_dim": 3, "seed": 11, "hardnes": 1.5}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["synth", str(spec_path), str(tmp_path / "data")]) == 1
+        assert "hardnes" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("field, value", [("num_queries", "4"), ("seed", 1.5), ("hardness", "high")])
+    def test_non_numeric_spec_value_fails(self, tmp_path, capsys, field, value):
+        spec = {"num_queries": 4, "docs_per_query": 5, "feature_dim": 3, "seed": 11, field: value}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["synth", str(spec_path), str(tmp_path / "data")]) == 1
+        assert field in capsys.readouterr().err
 
     def test_bad_spec_fails(self, tmp_path):
         spec_path = tmp_path / "spec.json"

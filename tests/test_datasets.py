@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oltrsim import datasets
 from oltrsim.datasets import (
     Dataset,
     Query,
@@ -16,6 +17,8 @@ from oltrsim.datasets import (
 )
 from oltrsim.evaluation import evaluate_heldout
 from oltrsim.ranking import LinearRanker
+
+from _oracles import reference_parse_letor
 
 
 def write_tmp(tmp_path, text, name="data.txt"):
@@ -61,10 +64,90 @@ class TestParseLetor:
         assert queries[0].features.tolist() == [[2.0, 3.0]]
 
     def test_non_contiguous_qids_grouped(self, tmp_path):
-        text = "1 qid:a 1:1.0\n0 qid:b 1:2.0\n2 qid:a 1:3.0\n"
+        text = "1 qid:a 1:1.0\n0 qid:b 1:2.0\n2 qid:a 1:3.0\n3 qid:c 1:4.0\n4 qid:b 1:5.0\n"
         queries, _ = parse_letor(write_tmp(tmp_path, text))
-        assert [q.qid for q in queries] == ["a", "b"]
+        assert [q.qid for q in queries] == ["a", "b", "c"]
         assert queries[0].features[:, 0].tolist() == [1.0, 3.0]
+        assert queries[0].relevance.tolist() == [1, 2]
+        assert queries[1].features[:, 0].tolist() == [2.0, 5.0]
+        assert queries[1].relevance.tolist() == [0, 4]
+
+    @pytest.mark.parametrize("token", ["1:", ":5", "1:2:3", "abc", "1.5:0.2", "0:1", "1 : 5"])
+    def test_malformed_token_names_its_line(self, tmp_path, token):
+        for prefix in ("", "1:0.5 2:0.25 "):  # after a sparse start, and after dense ids 1, 2
+            path = write_tmp(tmp_path, f"1 qid:1 1:0.5\n2 qid:1 {prefix}{token}\n")
+            with pytest.raises(ValueError, match="line 2") as raised:
+                parse_letor(path)
+            with pytest.raises(ValueError) as expected:
+                reference_parse_letor(path)
+            assert str(raised.value) == str(expected.value)
+
+    def test_duplicate_fid_keeps_last_value(self, tmp_path):
+        queries, dim = parse_letor(write_tmp(tmp_path, "1 qid:1 2:0.5 1:0.25 2:0.75\n"))
+        assert dim == 2
+        assert queries[0].features.tolist() == [[0.25, 0.75]]
+
+    def test_sparse_lines_read_zero(self, tmp_path):
+        text = "1 qid:1 3:0.5\n0 qid:1 1:0.2\n2 qid:1 1:0.1 2:0.3 3:0.4\n"
+        queries, dim = parse_letor(write_tmp(tmp_path, text))
+        assert dim == 3
+        assert queries[0].features.tolist() == [[0.0, 0.0, 0.5], [0.2, 0.0, 0.0], [0.1, 0.3, 0.4]]
+
+    def test_line_without_features_accepted(self, tmp_path):
+        queries, dim = parse_letor(write_tmp(tmp_path, "3 qid:1\n0 qid:1 1:0.3\n"))
+        assert dim == 1
+        assert queries[0].features.tolist() == [[0.0], [0.3]]
+        assert queries[0].relevance.tolist() == [3, 0]
+
+
+# Pieces of LETOR lines for comparing the parser with the reference one.  One
+# line in eight may also draw ill-formed pieces.
+_GOOD = {
+    "grade": ["0", "1", "4", "+2"],
+    "qid": ["qid:1", "qid:2", "qid:a"],
+    "token": ["1:0.5", "2:-1.25", "3:1e-3", "4:7", "2:0.125", "01:3", "+1:2", "1_0:4", "3:1_5"],
+    "dense_value": ["0.5", "-2", "1e2", "7"],
+}
+_BAD = {
+    "grade": ["5", "-1", "x"],
+    "qid": ["qid:", "qd:1"],
+    "token": ["1:", ":5", "1:2:3", "abc", "1.5:0.2", "0:1", "-2:1", ":", "2:x"],
+    "dense_value": ["1:2", "x", ""],
+}
+
+
+def _letor_line(draw):
+    pool = _GOOD if draw(st.integers(0, 7)) else {k: _GOOD[k] + _BAD[k] for k in _GOOD}
+    parts = [draw(st.sampled_from(pool["grade"])), draw(st.sampled_from(pool["qid"]))]
+    if draw(st.booleans()):  # a dense prefix 1..m, as full-width files write every line
+        width = draw(st.integers(0, 4))
+        parts += [f"{fid}:{draw(st.sampled_from(pool['dense_value']))}" for fid in range(1, width + 1)]
+    parts += draw(st.lists(st.sampled_from(pool["token"]), max_size=4))
+    line = " ".join(parts)
+    return draw(st.sampled_from([line, line, line + " # c", "", "# only a comment", "  " + line + "\t"]))
+
+
+class TestParserMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_queries_or_same_error(self, tmp_path_factory, data):
+        lines = [_letor_line(data.draw) for _ in range(data.draw(st.integers(1, 6)))]
+        feature_dim = data.draw(st.sampled_from([None, None, 3, 12]))
+        path = tmp_path_factory.mktemp("letor") / "data.txt"
+        path.write_text("\n".join(lines) + data.draw(st.sampled_from(["", "\n"])))
+        try:
+            expected, expected_dim = reference_parse_letor(path, feature_dim)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                parse_letor(path, feature_dim)
+            assert str(raised.value) == str(exc)
+            return
+        queries, dim = parse_letor(path, feature_dim)
+        assert dim == expected_dim
+        assert [q.qid for q in queries] == [qid for qid, _, _ in expected]
+        for q, (_, features, grades) in zip(queries, expected):
+            assert np.array_equal(q.features, features)
+            assert np.array_equal(q.relevance, grades)
 
     def test_explicit_feature_dim_pads(self, tmp_path):
         queries, dim = parse_letor(write_tmp(tmp_path, "1 qid:1 1:0.5\n"), feature_dim=4)
@@ -192,6 +275,23 @@ class TestLoadDataset:
         assert data.feature_dim == 2
         assert data.train[0].features.shape == (2, 2)
         assert data.train[0].features[:, 0].tolist() == [0.0, 1.0]
+
+    def test_differing_widths_parse_each_file_once(self, tmp_path, monkeypatch):
+        calls = []
+        parse = datasets.parse_letor
+
+        def counted_parse(path, *args, **kwargs):
+            calls.append(path)
+            return parse(path, *args, **kwargs)
+
+        monkeypatch.setattr(datasets, "parse_letor", counted_parse)
+        train = write_tmp(tmp_path, "1 qid:1 1:10.0\n0 qid:1 1:30.0\n", "train.txt")
+        test = write_tmp(tmp_path, "2 qid:9 1:5.0 3:1.0\n0 qid:9 2:7.0\n", "test.txt")
+        data = load_dataset(train, test, normalize=False)
+        assert calls == [train, test]
+        assert data.feature_dim == 3
+        assert data.train[0].features.tolist() == [[10.0, 0.0, 0.0], [30.0, 0.0, 0.0]]
+        assert data.test[0].features.tolist() == [[5.0, 0.0, 1.0], [0.0, 7.0, 0.0]]
 
     def test_normalization_can_be_disabled(self, tmp_path):
         train = write_tmp(tmp_path, "1 qid:1 1:10.0\n0 qid:1 1:30.0\n", "train.txt")

@@ -1,17 +1,22 @@
 import csv
 import json
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from oltrsim import experiments
+from oltrsim.datasets import make_synthetic, write_letor
 from oltrsim.evaluation import evaluate_heldout
 from oltrsim.experiments import (
     BUNDLED_SYNTHETIC,
     ExperimentConfig,
+    RunResult,
     SyntheticSpec,
     checkpoint_schedule,
     emit_outputs,
+    load_baseline,
     load_config_dataset,
     read_trace_csv,
     run_experiment,
@@ -152,6 +157,30 @@ class TestRunExperiment:
             assert a.seed == b.seed
             assert np.array_equal(a.trace.ndcg, b.trace.ndcg)
 
+    def test_workers_share_the_parents_dataset(self, tmp_path, monkeypatch):
+        data = make_synthetic(4, 6, 3, seed=9)
+        write_letor(data.train, tmp_path / "train.txt")
+        write_letor(data.test, tmp_path / "test.txt")
+        config = tiny_config(
+            synthetic=None, train_path=str(tmp_path / "train.txt"), test_path=str(tmp_path / "test.txt")
+        )
+        pid_log = tmp_path / "pids.txt"
+        load = experiments.load_config_dataset
+
+        def logged_load(cfg):
+            with open(pid_log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return load(cfg)
+
+        monkeypatch.setattr(experiments, "load_config_dataset", logged_load)
+        parallel, _ = run_experiment(config, workers=2)
+        assert pid_log.read_text().split() == [str(os.getpid())]
+        serial, _ = run_experiment(config, workers=1)
+        for a, b in zip(serial, parallel, strict=True):
+            assert (a.run_id, a.seed, a.final_ndcg) == (b.run_id, b.seed, b.final_ndcg)
+            assert np.array_equal(a.trace.impressions, b.trace.impressions)
+            assert np.array_equal(a.trace.ndcg, b.trace.ndcg)
+
     def test_env_var_sets_workers(self, monkeypatch):
         monkeypatch.setenv("OLTR_WORKERS", "1")
         config = tiny_config(repeats=2)
@@ -174,6 +203,28 @@ class TestRunExperiment:
         _, summary = run_experiment(config, workers=1)
         assert "baseline" in summary
         assert 0.0 <= summary["baseline"]["p_value"] <= 1.0
+
+    def test_baseline_with_another_horizon_rejected(self, tmp_path):
+        base_config = tiny_config(repeats=3, output_dir=str(tmp_path / "base"))
+        base_results, base_summary = run_experiment(base_config, workers=1)
+        emit_outputs(base_results, base_summary, base_config.output_dir)
+
+        config = tiny_config(repeats=3, impressions=80, baseline_dir=base_config.output_dir)
+        with pytest.raises(ValueError, match="impressions") as raised:
+            summarize(config, base_results)
+        assert "checkpoint_schedule" in str(raised.value)
+        with pytest.raises(ValueError, match="impressions"):
+            run_experiment(config, workers=1)
+
+    def test_bundled_dbgd_config_compares_with_pdgd_results(self, tmp_path):
+        configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+        pdgd = ExperimentConfig.from_json_file(os.path.join(configs, "pdgd_perfect.json"))
+        results = [RunResult(i, i, pdgd.config_hash(), None, 0.5 + 0.1 * i) for i in range(3)]
+        summary = summarize(pdgd, results)
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        dbgd = ExperimentConfig.from_json_file(os.path.join(configs, "dbgd_perfect.json"))
+        dbgd.baseline_dir = str(tmp_path)
+        assert load_baseline(dbgd)["per_run_final"] == summary["per_run_final"]
 
 
 class TestEmitOutputs:
