@@ -99,6 +99,11 @@ class TestParseLetor:
         assert queries[0].features.tolist() == [[0.0], [0.3]]
         assert queries[0].relevance.tolist() == [3, 0]
 
+    def test_explicit_feature_dim_pads(self, tmp_path):
+        queries, dim = parse_letor(write_tmp(tmp_path, "1 qid:1 1:0.5\n"), feature_dim=4)
+        assert dim == 4
+        assert queries[0].features.shape == (1, 4)
+
 
 # Pieces of LETOR lines for comparing the parser with the reference one.  One
 # line in eight may also draw ill-formed pieces.
@@ -148,11 +153,6 @@ class TestParserMatchesReference:
         for q, (_, features, grades) in zip(queries, expected):
             assert np.array_equal(q.features, features)
             assert np.array_equal(q.relevance, grades)
-
-    def test_explicit_feature_dim_pads(self, tmp_path):
-        queries, dim = parse_letor(write_tmp(tmp_path, "1 qid:1 1:0.5\n"), feature_dim=4)
-        assert dim == 4
-        assert queries[0].features.shape == (1, 4)
 
 
 class TestRoundTrip:
