@@ -93,13 +93,23 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="oltrsim", description="Online learning-to-rank simulations")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
     p_run.add_argument("config", help="path to the experiment config (JSON)")
-    p_run.add_argument("--workers", type=int, default=None, help="worker processes (default: OLTR_WORKERS or CPU count)")
+    p_run.add_argument("--workers", type=_worker_count, default=None, help="worker processes (default: OLTR_WORKERS or CPU count)")
     p_run.set_defaults(func=_cmd_run)
 
     p_plot = sub.add_parser("plot", help="rebuild curve.svg from a result directory")

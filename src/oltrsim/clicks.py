@@ -112,12 +112,17 @@ def simulate_cascading(ranking, grades, spec: ClickModelSpec, rng: np.random.Gen
     therefore unclicked.
     """
     ranking, grades = _check_args(ranking, grades, spec, (PERFECT, ALMOST_RANDOM_CASCADING))
+    if spec.stop_prob_after_click == 0:
+        # Nothing stops the scan, so the loop below would draw exactly one
+        # number per position: draw them in one call from the same stream.
+        clicks = rng.random(len(ranking)) < np.asarray(spec.click_probs)[grades]
+        return Interaction(ranking=ranking, clicks=clicks)
     probs = spec.click_probs
     clicks = np.zeros(len(ranking), dtype=bool)
     for pos, grade in enumerate(grades):
         if rng.random() < probs[grade]:
             clicks[pos] = True
-            if spec.stop_prob_after_click > 0 and rng.random() < spec.stop_prob_after_click:
+            if rng.random() < spec.stop_prob_after_click:
                 break
     return Interaction(ranking=ranking, clicks=clicks)
 

@@ -104,6 +104,18 @@ class ExperimentConfig:
     baseline_dir: str | None = None
 
     def validate(self) -> None:
+        kinds = {
+            **{name: (int, "an integer") for name in ("impressions", "repeats", "k", "num_checkpoints", "base_seed")},
+            **{name: ((int, float), "a number") for name in ("learning_rate", "delta", "tau")},
+        }
+        for name, (kind, described) in kinds.items():
+            value = getattr(self, name)
+            if name == "learning_rate" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"config field {name} must be {described}, got {value!r}")
+        if self.normalize is not None and not isinstance(self.normalize, bool):
+            raise ValueError(f"config field normalize must be true, false or null, got {self.normalize!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.comparator not in dbgd.COMPARATORS:
@@ -282,11 +294,23 @@ def _pool_run(run_index: int) -> RunResult:
 
 
 def resolve_workers(workers: int | None = None) -> int:
+    """The worker count: the argument, else ``OLTR_WORKERS``, else the CPU count.
+
+    A count that is not an integer >= 1 is refused, naming where it came from.
+    """
     if workers is not None:
-        return max(1, workers)
+        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+            raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+        return workers
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            count = int(env)
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {env!r}")
+        return count
     return max(1, os.cpu_count() or 1)
 
 

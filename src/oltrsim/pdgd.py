@@ -5,6 +5,13 @@ distribution.  Clicks are turned into pairwise preferences between clicked
 and observed-but-unclicked documents, each weighted to cancel the bias the
 displayed ordering introduces, and the model takes one gradient step along
 the weighted sum of feature differences.
+
+The pairs of one interaction are a ``PreferencePairs``: two aligned arrays
+of display positions, clicked and unclicked, so that an update works on
+all of them at once.  The debiasing weights come from swap-index and span
+tables built once for the longest display list seen, and the weights and
+the pair preferences go through one sigmoid call.  ``PreferencePair`` names a
+single pair, for ``pair_weight_rho``.
 """
 
 from __future__ import annotations
@@ -44,25 +51,68 @@ class PreferencePair:
             raise ValueError("positions must be non-negative")
 
 
-def infer_pairwise_preferences(interaction: Interaction) -> list[PreferencePair]:
+@dataclass(eq=False)
+class PreferencePairs:
+    """Preference pairs as position arrays: ``clicked[p]`` is preferred over ``unclicked[p]``.
+
+    Positions index the displayed list.  ``len()`` is the number of pairs,
+    so an interaction without pairs is falsy.
+    """
+
+    clicked: np.ndarray
+    unclicked: np.ndarray
+
+    def __len__(self) -> int:
+        return self.clicked.size
+
+
+def infer_pairwise_preferences(interaction: Interaction) -> PreferencePairs:
     """Pairs of (clicked, observed-and-unclicked) display positions.
 
     A document counts as observed if it precedes a clicked document or
-    immediately follows the last click.  No clicks means no pairs.
+    immediately follows the last click.  No clicks means no pairs.  Pairs
+    are in clicked-major order: every unclicked position for the first
+    click, then for the next one.  A clicked and an unclicked position are
+    always distinct and non-negative.
     """
     clicks = np.asarray(interaction.clicks, dtype=bool)
     clicked = np.flatnonzero(clicks)
     if clicked.size == 0:
-        return []
-    observed_end = min(int(clicked[-1]) + 2, clicks.size)
-    unclicked = [o for o in range(observed_end) if not clicks[o]]
-    return [PreferencePair(int(c), int(o)) for c in clicked for o in unclicked]
+        return PreferencePairs(clicked, clicked)
+    unclicked = np.flatnonzero(~clicks[: clicked[-1] + 2])
+    return PreferencePairs(
+        clicked.repeat(unclicked.size),
+        unclicked[None, :].repeat(clicked.size, axis=0).ravel(),
+    )
 
 
-def _undisplayed_total(exp_scores: np.ndarray, displayed: np.ndarray) -> float:
-    mask = np.ones(exp_scores.size, dtype=bool)
-    mask[displayed] = False
-    return float(exp_scores[mask].sum())
+# (swap, span) for the longest display list seen so far; see _pair_tables.
+_PAIR_TABLES = (np.empty((0, 0, 0), dtype=np.intp), np.empty((0, 0, 0), dtype=bool))
+
+
+def _pair_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tables indexed by a pair of display positions ``[i, j]``, at least ``m`` long.
+
+    ``swap[i, j]`` is ``arange`` with entries ``i`` and ``j`` exchanged,
+    and ``span[i, j]`` marks the positions ``p`` with
+    ``min(i, j) < p <= max(i, j)``.  Both are symmetric in ``i`` and ``j``,
+    and ``table[i, j, :m]`` for ``i, j < m`` is the table of length ``m``,
+    so only a longer list than any before builds new ones.  Each holds
+    ``m**3`` entries: 9 KB for the usual ``k = 10``.
+    """
+    global _PAIR_TABLES
+    swap, span = _PAIR_TABLES
+    if m > span.shape[0]:
+        pos = np.arange(m)
+        i, j = np.meshgrid(pos, pos, indexing="ij")
+        swap = np.broadcast_to(pos, (m, m, m)).copy()
+        swap[i, j, i] = j
+        swap[i, j, j] = i
+        span = (pos > np.minimum(i, j)[..., None]) & (pos <= np.maximum(i, j)[..., None])
+        swap.flags.writeable = False
+        span.flags.writeable = False
+        _PAIR_TABLES = swap, span
+    return swap, span
 
 
 def _pair_flip_log_odds(
@@ -82,21 +132,16 @@ def _pair_flip_log_odds(
     m = displayed.size
     exp_scores = np.exp(scores - scores.max())
     placed = exp_scores[displayed]
-    tail = _undisplayed_total(exp_scores, displayed)
-    denoms = tail + np.cumsum(placed[::-1])[::-1]
+    undisplayed = np.ones(exp_scores.size, dtype=bool)
+    undisplayed[displayed] = False
+    tail = exp_scores[undisplayed].sum()
+    denoms = tail + placed[::-1].cumsum()[::-1]
 
-    a = np.minimum(pos_hi, pos_lo)
-    b = np.maximum(pos_hi, pos_lo)
-    rows = np.arange(a.size)
-    placed_star = np.tile(placed, (a.size, 1))
-    placed_star[rows, a] = placed[b]
-    placed_star[rows, b] = placed[a]
-    denoms_star = tail + np.cumsum(placed_star[:, ::-1], axis=1)[:, ::-1]
-
-    positions = np.arange(m)
-    in_span = (positions[None, :] > a[:, None]) & (positions[None, :] <= b[:, None])
+    swap, span = _pair_tables(m)
+    placed_star = placed[swap[pos_hi, pos_lo, :m]]
+    denoms_star = tail + placed_star[:, ::-1].cumsum(axis=1)[:, ::-1]
     with np.errstate(divide="ignore"):
-        log_ratio = np.where(in_span, np.log(denoms)[None, :] - np.log(denoms_star), 0.0)
+        log_ratio = np.where(span[pos_hi, pos_lo, :m], np.log(denoms) - np.log(denoms_star), 0.0)
     return log_ratio.sum(axis=1)
 
 
@@ -105,10 +150,17 @@ def _pair_weights(
     displayed: np.ndarray,
     clicked_pos: np.ndarray,
     unclicked_pos: np.ndarray,
-) -> np.ndarray:
-    """Debiasing weight per pair: P(R*) / (P(R) + P(R*)), R* = positions swapped."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair, the debiasing weight and the model's preference, from one sigmoid call.
+
+    The weight is ``rho = P(R*) / (P(R) + P(R*))`` with ``R*`` the displayed
+    ranking with the pair's positions swapped; the preference is
+    ``P(i > j) = sigmoid(s_i - s_j)`` for the documents at those positions.
+    """
     log_odds = _pair_flip_log_odds(scores, displayed, clicked_pos, unclicked_pos)
-    return sigmoid(log_odds)
+    margin = scores[displayed[clicked_pos]] - scores[displayed[unclicked_pos]]
+    both = sigmoid(np.concatenate((log_odds, margin)))
+    return both[: log_odds.size], both[log_odds.size :]
 
 
 def pair_weight_rho(
@@ -129,13 +181,13 @@ def pair_weight_rho(
     if not (0 <= pair.clicked_idx < m and 0 <= pair.unclicked_idx < m):
         raise ValueError("pair positions outside the displayed list")
     scores = ranker.score_all(candidates)
-    weights = _pair_weights(
+    rho, _ = _pair_weights(
         scores,
         displayed,
         np.array([pair.clicked_idx]),
         np.array([pair.unclicked_idx]),
     )
-    return float(weights[0])
+    return float(rho[0])
 
 
 def pdgd_update(state: PdgdState, query: Query, interaction: Interaction) -> PdgdState:
@@ -150,17 +202,10 @@ def pdgd_update(state: PdgdState, query: Query, interaction: Interaction) -> Pdg
 
     displayed = check_ranking(interaction.ranking, query.n_docs)
     scores = state.ranker.score_all(query.features)
-    clicked_pos = np.array([p.clicked_idx for p in pairs])
-    unclicked_pos = np.array([p.unclicked_idx for p in pairs])
-
-    rho = _pair_weights(scores, displayed, clicked_pos, unclicked_pos)
-    docs_i = displayed[clicked_pos]
-    docs_j = displayed[unclicked_pos]
-    margin = scores[docs_i] - scores[docs_j]
-    p_ij = sigmoid(margin)
+    rho, p_ij = _pair_weights(scores, displayed, pairs.clicked, pairs.unclicked)
     pair_scale = rho * p_ij * (1.0 - p_ij)
 
-    diffs = query.features[docs_i] - query.features[docs_j]
+    diffs = query.features[displayed[pairs.clicked]] - query.features[displayed[pairs.unclicked]]
     gradient = pair_scale @ diffs
     new_weights = state.ranker.weights + state.learning_rate * gradient
     return PdgdState(ranker=LinearRanker(new_weights), learning_rate=state.learning_rate)

@@ -23,7 +23,7 @@ class LinearRanker:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.ndim != 1:
             raise ValueError("weights must be a 1-D vector")
-        if not np.all(np.isfinite(self.weights)):
+        if not np.isfinite(self.weights).all():
             raise ValueError("weights must be finite")
 
     @property
@@ -68,11 +68,13 @@ def check_ranking(ranking: np.ndarray, n_docs: int) -> np.ndarray:
     ranking = np.asarray(ranking)
     if ranking.ndim != 1 or ranking.size == 0:
         raise ValueError("ranking must be a non-empty 1-D index array")
-    if not np.issubdtype(ranking.dtype, np.integer):
+    if ranking.dtype.kind not in "iu":
         raise ValueError("ranking indices must be integers")
     if ranking.min() < 0 or ranking.max() >= n_docs:
         raise ValueError("ranking index out of range")
-    if np.unique(ranking).size != ranking.size:
+    seen = np.zeros(n_docs, dtype=bool)
+    seen[ranking] = True
+    if np.count_nonzero(seen) != ranking.size:
         raise ValueError("ranking contains duplicate indices")
     return ranking
 
@@ -155,14 +157,15 @@ def _logsumexp(values: np.ndarray) -> float:
 
 
 def sigmoid(x):
-    """Numerically stable logistic function, elementwise."""
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return float(out[0]) if np.ndim(x) == 0 else out
+    """Numerically stable logistic function, elementwise.
+
+    ``1 / (1 + e)`` for ``x >= 0`` and ``e / (1 + e)`` below, with
+    ``e = exp(-|x|)`` in [0, 1], so no exponential can overflow.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return float(out) if out.ndim == 0 else out
 
 
 def pair_preference_probability(

@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from oltrsim.clicks import Interaction
-from oltrsim.pdgd import infer_pairwise_preferences, pair_weight_rho
+from oltrsim.pdgd import PreferencePair, infer_pairwise_preferences, pair_weight_rho
 from oltrsim.ranking import LinearRanker, pair_preference_probability
 
 from _oracles import pl_ranking_probability
@@ -46,10 +46,10 @@ def expected_update_pair_coefficients(scores, grades, click_probs=(0.0, 0.2, 0.4
             pairs = infer_pairwise_preferences(
                 Interaction(ranking=ranking, clicks=np.asarray(pattern, dtype=bool))
             )
-            for pair in pairs:
-                doc_i = int(ranking[pair.clicked_idx])
-                doc_j = int(ranking[pair.unclicked_idx])
-                rho = pair_weight_rho(ranker, ranking, candidates, pair)
+            for clicked_idx, unclicked_idx in zip(pairs.clicked.tolist(), pairs.unclicked.tolist()):
+                doc_i = int(ranking[clicked_idx])
+                doc_j = int(ranking[unclicked_idx])
+                rho = pair_weight_rho(ranker, ranking, candidates, PreferencePair(clicked_idx, unclicked_idx))
                 p_ij = pair_preference_probability(
                     ranker, candidates[doc_i], candidates[doc_j]
                 )

@@ -254,3 +254,83 @@ def reference_parse_letor(path, feature_dim=None):
                 features[i, fid - 1] = val
         queries.append((qid, features, grades))
     return queries, dim
+
+
+def reference_infer_pairwise_preferences(clicks):
+    """(clicked, unclicked) display-position pairs as a list, as PDGD first inferred them.
+
+    Observed means above a click or right after the last one; clicked-major
+    order.
+    """
+    clicks = np.asarray(clicks, dtype=bool)
+    clicked = np.flatnonzero(clicks)
+    if clicked.size == 0:
+        return []
+    observed_end = min(int(clicked[-1]) + 2, clicks.size)
+    unclicked = [o for o in range(observed_end) if not clicks[o]]
+    return [(int(c), int(o)) for c in clicked for o in unclicked]
+
+
+def reference_sigmoid(x):
+    """Piecewise logistic function over an array: masked writes per sign."""
+    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    ex = np.exp(arr[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_pair_flip_log_odds(scores, displayed, pos_hi, pos_lo):
+    """log P(swapped) - log P(displayed) per pair, one tiled copy of the list per pair."""
+    m = displayed.size
+    exp_scores = np.exp(scores - scores.max())
+    placed = exp_scores[displayed]
+    mask = np.ones(exp_scores.size, dtype=bool)
+    mask[displayed] = False
+    tail = float(exp_scores[mask].sum())
+    denoms = tail + np.cumsum(placed[::-1])[::-1]
+
+    a = np.minimum(pos_hi, pos_lo)
+    b = np.maximum(pos_hi, pos_lo)
+    rows = np.arange(a.size)
+    placed_star = np.tile(placed, (a.size, 1))
+    placed_star[rows, a] = placed[b]
+    placed_star[rows, b] = placed[a]
+    denoms_star = tail + np.cumsum(placed_star[:, ::-1], axis=1)[:, ::-1]
+
+    positions = np.arange(m)
+    in_span = (positions[None, :] > a[:, None]) & (positions[None, :] <= b[:, None])
+    with np.errstate(divide="ignore"):
+        log_ratio = np.where(in_span, np.log(denoms)[None, :] - np.log(denoms_star), 0.0)
+    return log_ratio.sum(axis=1)
+
+
+def reference_pdgd_update(weights, features, ranking, clicks, learning_rate):
+    """New PDGD weights after one interaction, as the first implementation computed them.
+
+    Pairs come from a Python list of position tuples, and the debiasing
+    weights and pair preferences from two separate sigmoid calls.  Returns
+    ``weights`` itself when there are no pairs; the result may be
+    non-finite, which the package must refuse.
+    """
+    pairs = reference_infer_pairwise_preferences(clicks)
+    if not pairs:
+        return weights
+    displayed = np.asarray(ranking)
+    features = np.asarray(features, dtype=np.float64)
+    scores = features @ weights
+    clicked_pos = np.array([c for c, _ in pairs])
+    unclicked_pos = np.array([u for _, u in pairs])
+
+    rho = reference_sigmoid(reference_pair_flip_log_odds(scores, displayed, clicked_pos, unclicked_pos))
+    docs_i = displayed[clicked_pos]
+    docs_j = displayed[unclicked_pos]
+    margin = scores[docs_i] - scores[docs_j]
+    p_ij = reference_sigmoid(margin)
+    pair_scale = rho * p_ij * (1.0 - p_ij)
+
+    diffs = features[docs_i] - features[docs_j]
+    gradient = pair_scale @ diffs
+    return weights + learning_rate * gradient

@@ -39,6 +39,20 @@ class TestRun:
         assert main(["run", str(tmp_path / "absent.json")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-3", "abc"])
+    def test_bad_worker_count_fails(self, tmp_path, capsys, workers):
+        config_path, _ = write_config(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", str(config_path), "--workers", workers])
+        assert excinfo.value.code == 2
+        assert f"argument --workers: must be an integer >= 1, got '{workers}'" in capsys.readouterr().err
+
+    def test_bad_env_worker_count_fails(self, tmp_path, capsys, monkeypatch):
+        config_path, _ = write_config(tmp_path)
+        monkeypatch.setenv("OLTR_WORKERS", "abc")
+        assert main(["run", str(config_path)]) == 1
+        assert "error: OLTR_WORKERS must be an integer >= 1, got 'abc'" in capsys.readouterr().err
+
     def test_invalid_config_fails(self, tmp_path, capsys):
         config_path, _ = write_config(tmp_path, impressions=0)
         assert main(["run", str(config_path)]) == 1

@@ -112,6 +112,22 @@ class TestCascading:
         with pytest.raises(ValueError):
             simulate_cascading(np.arange(3), [1, 1], click_model(PERFECT), rng)
 
+    def test_perfect_draws_the_same_stream_as_the_per_position_loop(self):
+        # The perfect model never stops, so its one-call draw must give the
+        # clicks of one rng.random() per position and leave the generator
+        # in the same state.
+        spec = click_model(PERFECT)
+        grade_rng = np.random.default_rng(110)
+        for seed in range(200):
+            m = int(grade_rng.integers(0, 21))
+            grades = grade_rng.integers(0, 5, size=m)
+            rng = np.random.default_rng(seed)
+            looped = np.random.default_rng(seed)
+            out = simulate_cascading(np.arange(m), grades, spec, rng)
+            expected = [looped.random() < spec.click_probs[g] for g in grades]
+            assert out.clicks.tolist() == expected
+            assert rng.bit_generator.state == looped.bit_generator.state
+
 
 class TestNonCascading:
     def test_rank_one_always_observed(self):

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -69,6 +70,26 @@ class TestConfig:
             tiny_config(train_path="x.txt", test_path="y.txt").validate()
         with pytest.raises(ValueError):
             tiny_config(comparator="quantum").validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("impressions", 20.5),
+            ("k", "10"),
+            ("repeats", True),
+            ("num_checkpoints", 5.0),
+            ("base_seed", None),
+            ("learning_rate", "0.1"),
+            ("delta", False),
+            ("tau", [3]),
+            ("normalize", "no"),
+        ],
+    )
+    def test_field_types_checked_by_name(self, field, value):
+        data = {**tiny_config().to_dict(), field: value}
+        data["synthetic"] = asdict(TINY_SYNTH)
+        with pytest.raises(ValueError, match=f"^config field {field} must be"):
+            ExperimentConfig.from_dict(data).validate()
 
     def test_learning_rate_defaults(self):
         assert tiny_config(algorithm="pdgd").resolved_learning_rate() == 0.1
@@ -186,6 +207,17 @@ class TestRunExperiment:
         config = tiny_config(repeats=2)
         results, summary = run_experiment(config)
         assert summary["repeats"] == 2
+
+    @pytest.mark.parametrize("env", ["abc", "0", "-2", "1.5"])
+    def test_bad_env_worker_count_rejected(self, monkeypatch, env):
+        monkeypatch.setenv("OLTR_WORKERS", env)
+        with pytest.raises(ValueError, match=f"^OLTR_WORKERS must be an integer >= 1, got '{env}'$"):
+            run_experiment(tiny_config())
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
+    def test_bad_worker_argument_rejected(self, workers):
+        with pytest.raises(ValueError, match="^workers must be an integer >= 1"):
+            run_experiment(tiny_config(), workers=workers)
 
     def test_summary_mean_is_arithmetic_mean(self):
         config = tiny_config(repeats=3)

@@ -1,0 +1,98 @@
+"""Every per-impression function still refuses bad input, with the same message.
+
+The messages are compared exactly, so a check that is made cheaper must
+still fire on the same input and say the same thing.
+"""
+
+import numpy as np
+import pytest
+
+from oltrsim.clicks import (
+    ALMOST_RANDOM_CASCADING,
+    ALMOST_RANDOM_NONCASCADING,
+    PERFECT,
+    Interaction,
+    click_model,
+    simulate,
+    simulate_cascading,
+    simulate_noncascading,
+)
+from oltrsim.datasets import Query
+from oltrsim.pdgd import PdgdState, pdgd_update
+from oltrsim.ranking import LinearRanker, sample_ranking
+
+QUERY = Query(qid="q", features=np.arange(12.0).reshape(4, 3) / 10.0, relevance=[0, 1, 2, 3])
+STATE = PdgdState(LinearRanker(np.zeros(3)))
+
+
+def update_with_ranking(ranking):
+    clicks = np.zeros(len(ranking), dtype=bool)
+    clicks[0] = True
+    return pdgd_update(STATE, QUERY, Interaction(ranking=np.asarray(ranking), clicks=clicks))
+
+
+def non_finite_update():
+    state = PdgdState(LinearRanker(np.zeros(2)), learning_rate=1e308)
+    query = Query(qid="q", features=np.array([[8.0, 0.0], [-8.0, 0.0]]), relevance=[1, 0])
+    with np.errstate(over="ignore"):  # the step overflows to inf, which the update must refuse
+        return pdgd_update(state, query, Interaction(ranking=np.array([0, 1]), clicks=np.array([True, False])))
+
+
+CASES = {
+    "pdgd_update duplicate ranking": (
+        lambda: update_with_ranking([0, 1, 1]),
+        "ranking contains duplicate indices",
+    ),
+    "pdgd_update ranking above range": (
+        lambda: update_with_ranking([0, 1, 4]),
+        "ranking index out of range",
+    ),
+    "pdgd_update negative ranking": (
+        lambda: update_with_ranking([0, -1, 2]),
+        "ranking index out of range",
+    ),
+    "pdgd_update float ranking": (
+        lambda: update_with_ranking([0.0, 1.0, 2.0]),
+        "ranking indices must be integers",
+    ),
+    "pdgd_update non-finite weights": (non_finite_update, "weights must be finite"),
+    "simulate misaligned grades, cascading": (
+        lambda: simulate(np.arange(3), [1, 1], click_model(PERFECT), np.random.default_rng(0)),
+        "grades must align with the displayed ranking",
+    ),
+    "simulate misaligned grades, non-cascading": (
+        lambda: simulate(np.arange(3), [1, 1], click_model(ALMOST_RANDOM_NONCASCADING), np.random.default_rng(0)),
+        "grades must align with the displayed ranking",
+    ),
+    "simulate grade above 4": (
+        lambda: simulate(np.arange(3), [1, 5, 0], click_model(PERFECT), np.random.default_rng(0)),
+        "grade outside [0, 4]",
+    ),
+    "simulate negative grade": (
+        lambda: simulate(np.arange(3), [1, -1, 0], click_model(ALMOST_RANDOM_CASCADING), np.random.default_rng(0)),
+        "grade outside [0, 4]",
+    ),
+    "cascading simulator, non-cascading model": (
+        lambda: simulate_cascading(
+            np.arange(2), [1, 1], click_model(ALMOST_RANDOM_NONCASCADING), np.random.default_rng(0)
+        ),
+        "click model 'almost_random_noncascading' not valid here, "
+        "expected one of ('perfect', 'almost_random_cascading')",
+    ),
+    "non-cascading simulator, perfect model": (
+        lambda: simulate_noncascading(np.arange(2), [1, 1], click_model(PERFECT), np.random.default_rng(0)),
+        "click model 'perfect' not valid here, expected one of ('almost_random_noncascading',)",
+    ),
+    "sample_ranking empty candidates": (
+        lambda: sample_ranking(LinearRanker(np.zeros(3)), np.zeros((0, 3)), 10, np.random.default_rng(0)),
+        "candidates must be a non-empty (n_docs, dim) matrix",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_rejected_with_the_same_message(name):
+    call, message = CASES[name]
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

@@ -16,7 +16,11 @@ from oltrsim.ranking import (
     pair_preference_probability,
 )
 
-from _oracles import central_difference_gradient
+from _oracles import (
+    central_difference_gradient,
+    reference_infer_pairwise_preferences,
+    reference_pdgd_update,
+)
 
 
 def interaction(clicks, ranking=None):
@@ -26,28 +30,47 @@ def interaction(clicks, ranking=None):
     return Interaction(ranking=np.asarray(ranking), clicks=clicks)
 
 
+def pair_set(pairs):
+    return set(zip(pairs.clicked.tolist(), pairs.unclicked.tolist()))
+
+
 class TestInferPreferences:
     def test_middle_click(self):
         pairs = infer_pairwise_preferences(interaction([0, 1, 0, 0]))
-        assert {(p.clicked_idx, p.unclicked_idx) for p in pairs} == {(1, 0), (1, 2)}
+        assert pair_set(pairs) == {(1, 0), (1, 2)}
 
     def test_no_clicks(self):
-        assert infer_pairwise_preferences(interaction([0, 0, 0])) == []
+        pairs = infer_pairwise_preferences(interaction([0, 0, 0]))
+        assert len(pairs) == 0 and not pairs
 
     def test_first_and_last_clicked(self):
         pairs = infer_pairwise_preferences(interaction([1, 0, 1]))
-        assert {(p.clicked_idx, p.unclicked_idx) for p in pairs} == {(0, 1), (2, 1)}
+        assert pair_set(pairs) == {(0, 1), (2, 1)}
 
     def test_click_at_list_end_adds_nothing_beyond(self):
         pairs = infer_pairwise_preferences(interaction([0, 0, 1]))
-        assert {(p.clicked_idx, p.unclicked_idx) for p in pairs} == {(2, 0), (2, 1)}
+        assert pair_set(pairs) == {(2, 0), (2, 1)}
 
     def test_all_clicked_yields_no_pairs(self):
-        assert infer_pairwise_preferences(interaction([1, 1, 1])) == []
+        pairs = infer_pairwise_preferences(interaction([1, 1, 1]))
+        assert len(pairs) == 0 and not pairs
 
     def test_pair_validation(self):
         with pytest.raises(ValueError):
             PreferencePair(2, 2)
+
+    def test_matches_reference_list_in_order(self):
+        # Same pairs in the same clicked-major order as the list-of-tuples
+        # reference, and len() counts them.
+        rng = np.random.default_rng(105)
+        for _ in range(500):
+            m = int(rng.integers(1, 13))
+            clicks = rng.random(m) < rng.random()
+            pairs = infer_pairwise_preferences(interaction(clicks))
+            expected = reference_infer_pairwise_preferences(clicks)
+            assert list(zip(pairs.clicked.tolist(), pairs.unclicked.tolist())) == expected
+            assert len(pairs) == len(expected) and bool(pairs) == bool(expected)
+            assert pairs.clicked.dtype == pairs.unclicked.dtype == np.intp
 
 
 def rho_by_full_recompute(ranker, displayed, candidates, pair):
@@ -185,6 +208,72 @@ class TestUpdate:
     def test_invalid_learning_rate(self):
         with pytest.raises(ValueError):
             PdgdState(LinearRanker([1.0]), learning_rate=0.0)
+
+
+def random_update_case(rng, n_docs, dim, spread, clicks=None, k=10):
+    """A state, query and interaction whose scores span about ``[-spread, spread]``."""
+    features = rng.uniform(-1.0, 1.0, size=(n_docs, dim))
+    weights = rng.normal(size=dim)
+    top = np.abs(features @ weights).max()
+    weights *= spread / top if top > 0 else 1.0
+    grades = rng.integers(0, 5, size=n_docs)
+    displayed = rng.permutation(n_docs)[: min(k, n_docs)]
+    if clicks is None:
+        clicks = rng.random(displayed.size) < rng.random()
+    state = PdgdState(LinearRanker(weights), learning_rate=float(rng.choice([0.1, 1.0, 10.0])))
+    query = Query(qid="q", features=features, relevance=grades)
+    return state, query, interaction(clicks, ranking=displayed)
+
+
+class TestUpdateMatchesReference:
+    """pdgd_update against the list-based, two-sigmoid reference: equal bit for bit."""
+
+    @staticmethod
+    def check(state, query, inter):
+        expected = reference_pdgd_update(
+            state.ranker.weights, query.features, inter.ranking, inter.clicks, state.learning_rate
+        )
+        if not np.all(np.isfinite(expected)):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                pdgd_update(state, query, inter)
+            return False
+        after = pdgd_update(state, query, inter)
+        assert np.array_equal(after.ranker.weights, expected)
+        return True
+
+    def test_random_queries_and_spreads(self):
+        # Score spreads up to +-500 put exp(score - max) far below the
+        # smallest double for most documents.
+        rng = np.random.default_rng(106)
+        finite = 0
+        for _ in range(600):
+            n_docs = int(rng.integers(1, 40))
+            dim = int(rng.choice([1, 3, 10]))
+            spread = float(10.0 ** rng.uniform(-3, np.log10(500.0)))
+            finite += self.check(*random_update_case(rng, n_docs, dim, spread))
+        assert finite > 500
+
+    def test_fewer_documents_than_k(self):
+        rng = np.random.default_rng(107)
+        for n_docs in range(1, 10):
+            for _ in range(20):
+                self.check(*random_update_case(rng, n_docs, 4, 5.0, k=10))
+
+    def test_no_all_and_last_only_clicks(self):
+        rng = np.random.default_rng(108)
+        for m in range(1, 11):
+            last_only = np.zeros(m, dtype=bool)
+            last_only[-1] = True
+            for clicks in (np.zeros(m, dtype=bool), np.ones(m, dtype=bool), last_only):
+                for spread in (0.0, 1.0, 500.0):
+                    self.check(*random_update_case(rng, 12, 5, spread, clicks=clicks, k=m))
+
+    def test_letor_shaped_queries(self):
+        rng = np.random.default_rng(109)
+        for _ in range(40):
+            n_docs = int(rng.integers(60, 181))
+            spread = float(rng.choice([0.5, 20.0, 500.0]))
+            self.check(*random_update_case(rng, n_docs, 136, spread))
 
 
 class TestUnbiasednessSign:
