@@ -1,6 +1,6 @@
 """Online learning-to-rank simulations: DBGD and PDGD under click models."""
 
-from .clicks import ClickModelSpec, Interaction, click_model
+from .clicks import Interaction, click_model
 from .datasets import Dataset, Query, load_dataset, make_synthetic, parse_letor
 from .dbgd import ComparisonOutcome, DbgdState, dbgd_step
 from .evaluation import MetricTrace, evaluate_heldout, ndcg_at_k, welch_t_test
@@ -11,7 +11,6 @@ from .experiments import (
     SyntheticSpec,
     emit_outputs,
     run_experiment,
-    run_single,
 )
 from .pdgd import PdgdState, pdgd_update
 from .ranking import LinearRanker, rank_deterministic, sample_ranking
@@ -20,7 +19,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUNDLED_SYNTHETIC",
-    "ClickModelSpec",
     "ComparisonOutcome",
     "Dataset",
     "DbgdState",
@@ -43,7 +41,6 @@ __all__ = [
     "pdgd_update",
     "rank_deterministic",
     "run_experiment",
-    "run_single",
     "sample_ranking",
     "welch_t_test",
 ]

@@ -33,7 +33,6 @@ from .experiments import (
 
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_json_file(args.config)
-    config.validate()
     results, summary = run_experiment(config, workers=args.workers)
     paths = emit_outputs(results, summary, config.output_dir)
     print(
@@ -79,11 +78,12 @@ SYNTH_REQUIRED = ("num_queries", "docs_per_query", "feature_dim", "seed")
 
 def _cmd_synth(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    missing = [name for name in SYNTH_REQUIRED if name not in spec]
+        raw = json.load(fh)
+    spec = SyntheticSpec.from_dict(raw)
+    missing = [name for name in SYNTH_REQUIRED if name not in raw]
     if missing:
         raise ValueError(f"synthetic spec is missing fields: {missing}")
-    data = SyntheticSpec.from_dict(spec).make()
+    data = spec.make()
     os.makedirs(args.out_dir, exist_ok=True)
     train_path = os.path.join(args.out_dir, "train.txt")
     test_path = os.path.join(args.out_dir, "test.txt")

