@@ -122,20 +122,20 @@ def _count_line_breaks(path: str | os.PathLike) -> int:
         return sum(chunk.count(b"\n") + chunk.count(b"\r") for chunk in iter(lambda: fh.read(1 << 20), b""))
 
 
-def parse_letor(path: str | os.PathLike, feature_dim: int | None = None) -> tuple[list[Query], int]:
+def parse_letor(path: str | os.PathLike) -> tuple[list[Query], int]:
     """Parse a LETOR/SVMlight file into queries grouped by qid.
 
     Documents keep file order within each query; queries are ordered by
     first appearance.  Returns ``(queries, feature_dim)`` where the
-    dimension is the largest feature id seen unless an explicit
-    ``feature_dim`` is given (useful to align train and test files).
+    dimension is the largest feature id seen; :func:`load_dataset` pads
+    the narrower of a train/test pair to the wider one's width.
 
     The file is read once, line by line, and each line's grade, query and
     features are written straight into preallocated arrays; each query's
     arrays are slices of them.
     """
     capacity = _count_line_breaks(path) + 1
-    features = np.zeros((capacity, max(feature_dim or 0, 0)))
+    features = np.zeros((capacity, 0))
     grades = np.empty(capacity, dtype=np.int64)
     owners = np.empty(capacity, dtype=np.intp)
     qids: dict[str, int] = {}
@@ -156,25 +156,21 @@ def parse_letor(path: str | os.PathLike, feature_dim: int | None = None) -> tupl
                     dense = prefixes, tuple(slice(len(p), None) for p in prefixes)
                 cols, vals, top = _read_features(tokens[2:], lineno, dense)
                 max_fid = max(max_fid, top)
-                if top > features.shape[1] and feature_dim is None:
+                if top > features.shape[1]:
                     # Grow geometrically so a file whose ids keep rising copies O(log dim) times.
                     grown = np.zeros((capacity, max(top, features.shape[1] * 3 // 2)))
                     grown[:n, : features.shape[1]] = features[:n]
                     features = grown
-                if top <= features.shape[1]:  # else the file is refused below, once every line is read
-                    features[n, cols] = vals
+                features[n, cols] = vals
             grades[n] = grade
             owners[n] = qids.setdefault(qid, len(qids))
             n += 1
     if not n:
         raise ValueError(f"{path}: no documents found")
-    dim = feature_dim if feature_dim is not None else max_fid
-    if dim < 1:
+    if max_fid < 1:
         raise ValueError(f"{path}: could not infer a feature dimension")
-    if max_fid > dim:
-        raise ValueError(f"{path}: feature id {max_fid} exceeds feature_dim {dim}")
 
-    features = np.ascontiguousarray(features[:n, :dim])
+    features = np.ascontiguousarray(features[:n, :max_fid])
     grades, owners = grades[:n], owners[:n]
     if np.any(owners[1:] < owners[:-1]):  # a query's documents are not contiguous: gather them
         order = np.argsort(owners, kind="stable")
@@ -184,7 +180,7 @@ def parse_letor(path: str | os.PathLike, feature_dim: int | None = None) -> tupl
     return [
         Query(qid=qid, features=features[a:b], relevance=grades[a:b])
         for qid, a, b in zip(qids, starts, ends)
-    ], dim
+    ], max_fid
 
 
 def write_letor(queries: list[Query], path: str | os.PathLike) -> None:
@@ -300,21 +296,17 @@ def _zero_pad(queries: list[Query], dim: int) -> list[Query]:
     return padded
 
 
-def load_dataset(
-    train_path: str | os.PathLike,
-    test_path: str | os.PathLike,
-    normalize: bool = True,
-) -> Dataset:
-    """Load train/test files, align feature dimensions, optionally normalize.
+def load_dataset(train_path: str | os.PathLike, test_path: str | os.PathLike) -> Dataset:
+    """Load a train/test pair of LETOR files, min-max normalized per query.
 
     Each file is parsed once; the split with fewer features is zero-padded
-    to the other's width.
+    to the other's width, and then every feature is normalized within each
+    query (:func:`normalize_query_level`), as LETOR 4.0's QueryLevelNorm
+    files are.
     """
     train, dim_train = parse_letor(train_path)
     test, dim_test = parse_letor(test_path)
     dim = max(dim_train, dim_test)
-    train, test = _zero_pad(train, dim), _zero_pad(test, dim)
-    if normalize:
-        train = normalize_query_level(train)
-        test = normalize_query_level(test)
+    train = normalize_query_level(_zero_pad(train, dim))
+    test = normalize_query_level(_zero_pad(test, dim))
     return Dataset(train=train, test=test, feature_dim=dim)

@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass
 
 import numpy as np
 
@@ -40,25 +40,28 @@ _CONFIG_FIELD_KINDS = {
     **dict.fromkeys(("impressions", "repeats", "k", "num_checkpoints", "base_seed"), _INTEGER),
     **dict.fromkeys(("delta", "tau"), _NUMBER),
     "learning_rate": ((int, float, type(None)), "a number"),
-    "normalize": ((bool, type(None)), "true, false or null"),
     "output_dir": ((str,), "a string"),
     **dict.fromkeys(("train_path", "test_path", "baseline_dir"), ((str, type(None)), "a string or null")),
 }
 
 
+def _is_of(value, types: tuple) -> bool:
+    """Whether ``value`` is of ``types``; a bool (JSON's true/false, also an int) only where they list bool."""
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+
+
 def _check_field_types(owner: str, values: dict, kinds: dict) -> None:
     """Refuse, naming the field, a value in ``values`` that is not of its kind.
 
-    Fields absent from ``values`` are not checked.  JSON's ``true`` and
-    ``false`` load as Python bools, which are also ints, so a bool passes
-    only where the kind lists ``bool``.
+    Fields absent from ``values`` are not checked.
     """
     for name, (types, described) in kinds.items():
-        if name not in values:
-            continue
-        value = values[name]
-        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-            raise ValueError(f"{owner} field {name} must be {described}, got {value!r}")
+        if name in values and not _is_of(values[name], types):
+            raise ValueError(f"{owner} field {name} must be {described}, got {values[name]!r}")
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(_is_of(v, _NUMBER[0]) for v in value)
 
 
 def _check_object(owner: str, data) -> None:
@@ -70,10 +73,10 @@ def _check_object(owner: str, data) -> None:
 class SyntheticSpec:
     """Parameters of the synthetic dataset generator."""
 
-    num_queries: int = 100
-    docs_per_query: int = 20
-    feature_dim: int = 10
-    seed: int = 7
+    num_queries: int
+    docs_per_query: int
+    feature_dim: int
+    seed: int
     hardness: float = 0.0
     grade_bins: tuple[float, ...] = datasets.QUINTILE_GRADE_BINS
 
@@ -82,12 +85,17 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SyntheticSpec":
-        """A spec from JSON-like input; non-objects, unknown keys and non-numeric sizes are refused."""
+        """A spec from JSON-like input; non-objects and unknown, missing or ill-typed fields are refused by name."""
         _check_object("synthetic spec", data)
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown synthetic spec fields: {sorted(unknown)}")
+        missing = [name for name, f in cls.__dataclass_fields__.items() if f.default is MISSING and name not in data]
+        if missing:
+            raise ValueError(f"synthetic spec is missing fields: {missing}")
         _check_field_types("synthetic spec", data, _SYNTHETIC_FIELD_KINDS)
+        if "grade_bins" in data and not _is_number_list(data["grade_bins"]):
+            raise ValueError(f"synthetic spec field grade_bins must be a list of numbers, got {data['grade_bins']!r}")
         return cls(**data)
 
     def make(self) -> datasets.Dataset:
@@ -126,7 +134,6 @@ class ExperimentConfig:
     synthetic: SyntheticSpec | None = None
     train_path: str | None = None
     test_path: str | None = None
-    normalize: bool | None = None  # default: files yes, synthetic no
     impressions: int = 1_000_000
     repeats: int = 125
     k: int = 10
@@ -222,20 +229,12 @@ def checkpoint_schedule(impressions: int, num_checkpoints: int = 30) -> list[int
 def load_config_dataset(config: ExperimentConfig) -> datasets.Dataset:
     """Materialize the dataset a config refers to.
 
-    File-based datasets are query-level min-max normalized by default;
-    synthetic data is used as generated unless ``normalize`` is forced on.
+    A synthetic spec's dataset is used as generated; train/test files are
+    min-max normalized per query by :func:`datasets.load_dataset`.
     """
     if config.synthetic is not None:
-        data = config.synthetic.make()
-        if config.normalize:
-            data = datasets.Dataset(
-                train=datasets.normalize_query_level(data.train),
-                test=datasets.normalize_query_level(data.test),
-                feature_dim=data.feature_dim,
-            )
-        return data
-    normalize = True if config.normalize is None else config.normalize
-    return datasets.load_dataset(config.train_path, config.test_path, normalize=normalize)
+        return config.synthetic.make()
+    return datasets.load_dataset(config.train_path, config.test_path)
 
 
 def _run_seed(config: ExperimentConfig, run_index: int) -> tuple[int, np.random.SeedSequence]:
@@ -368,7 +367,7 @@ def run_experiment(
 def _comparable_fields(config: dict) -> dict:
     """The fields a Welch test against another run set needs to be equal, as JSON values."""
     normalize = config.get("normalize")
-    if normalize is None:  # the default: files yes, synthetic no
+    if normalize is None:  # absent or null: the policy, files normalized and synthetic data not
         normalize = config.get("synthetic") is None
     fields = {name: config.get(name) for name in ("synthetic", "train_path", "test_path", "impressions")}
     return json.loads(json.dumps({**fields, "normalize": normalize}))
@@ -377,13 +376,21 @@ def _comparable_fields(config: dict) -> dict:
 def load_baseline(config: ExperimentConfig) -> dict | None:
     """The summary in ``config.baseline_dir``, if any, once it is shown to be comparable.
 
-    Raises ``ValueError`` naming every field in which the baseline's
-    dataset, horizon or checkpoint schedule differs from this config's.
+    Raises ``ValueError`` if ``repeats`` or the baseline's ``per_run_final``
+    gives the Welch test fewer than 2 values, and naming every field in which
+    the baseline's dataset, horizon or checkpoint schedule differs.
     """
     if not config.baseline_dir:
         return None
+    if config.repeats < 2:
+        raise ValueError(f"a baseline_dir needs repeats >= 2 for the Welch test, got {config.repeats}")
     with open(os.path.join(config.baseline_dir, "summary.json"), "r", encoding="utf-8") as fh:
         baseline = json.load(fh)
+    finals = baseline.get("per_run_final")
+    if not _is_number_list(finals) or len(finals) < 2:
+        raise ValueError(
+            f"baseline {config.baseline_dir}: per_run_final must list at least 2 numbers, got {finals!r}"
+        )
     ours = _comparable_fields(config.to_dict())
     ours["checkpoint_schedule"] = checkpoint_schedule(config.impressions, config.num_checkpoints)
     theirs = _comparable_fields(baseline.get("config", {}))

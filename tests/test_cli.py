@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from oltrsim.cli import main
-from oltrsim.datasets import load_dataset, parse_letor
-from oltrsim.experiments import BUNDLED_SYNTHETIC, ExperimentConfig, SyntheticSpec, load_config_dataset
+from oltrsim.datasets import parse_letor
+from oltrsim.experiments import BUNDLED_SYNTHETIC, SyntheticSpec
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -117,11 +117,11 @@ class TestSynth:
         spec_path.write_text(json.dumps(asdict(BUNDLED_SYNTHETIC)))
         out_dir = tmp_path / "data"
         assert main(["synth", str(spec_path), str(out_dir)]) == 0
-        loaded = load_dataset(out_dir / "train.txt", out_dir / "test.txt", normalize=False)
-        expected = load_config_dataset(ExperimentConfig(synthetic=BUNDLED_SYNTHETIC))
-        assert loaded.feature_dim == expected.feature_dim
+        expected = BUNDLED_SYNTHETIC.make()
         for split in ("train", "test"):
-            got, want = getattr(loaded, split), getattr(expected, split)
+            got, dim = parse_letor(out_dir / f"{split}.txt")
+            want = getattr(expected, split)
+            assert dim == expected.feature_dim
             assert [q.qid for q in got] == [q.qid for q in want]
             for a, b in zip(got, want):
                 assert np.array_equal(a.features, b.features)
@@ -135,18 +135,24 @@ class TestSynth:
         assert "hardnes" in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
-    @pytest.mark.parametrize("field, value", [("num_queries", "4"), ("seed", 1.5), ("hardness", "high")])
+    @pytest.mark.parametrize(
+        "field, value", [("num_queries", "4"), ("seed", 1.5), ("hardness", "high"), ("grade_bins", 5)]
+    )
     def test_non_numeric_spec_value_fails(self, tmp_path, capsys, field, value):
         spec = {"num_queries": 4, "docs_per_query": 5, "feature_dim": 3, "seed": 11, field: value}
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         assert main(["synth", str(spec_path), str(tmp_path / "data")]) == 1
-        assert field in capsys.readouterr().err
+        assert f"error: synthetic spec field {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
 
-    def test_bad_spec_fails(self, tmp_path):
+    def test_bad_spec_fails(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"num_queries": 4}))
         assert main(["synth", str(spec_path), str(tmp_path / "data")]) == 1
+        err = capsys.readouterr().err
+        assert "error: synthetic spec is missing fields: ['docs_per_query', 'feature_dim', 'seed']" in err
+        assert not (tmp_path / "data").exists()
 
 
 class TestParser:

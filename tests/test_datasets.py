@@ -99,11 +99,6 @@ class TestParseLetor:
         assert queries[0].features.tolist() == [[0.0], [0.3]]
         assert queries[0].relevance.tolist() == [3, 0]
 
-    def test_explicit_feature_dim_pads(self, tmp_path):
-        queries, dim = parse_letor(write_tmp(tmp_path, "1 qid:1 1:0.5\n"), feature_dim=4)
-        assert dim == 4
-        assert queries[0].features.shape == (1, 4)
-
 
 # Pieces of LETOR lines for comparing the parser with the reference one.  One
 # line in eight may also draw ill-formed pieces.
@@ -137,17 +132,16 @@ class TestParserMatchesReference:
     @given(st.data())
     def test_same_queries_or_same_error(self, tmp_path_factory, data):
         lines = [_letor_line(data.draw) for _ in range(data.draw(st.integers(1, 6)))]
-        feature_dim = data.draw(st.sampled_from([None, None, 3, 12]))
         path = tmp_path_factory.mktemp("letor") / "data.txt"
         path.write_text("\n".join(lines) + data.draw(st.sampled_from(["", "\n"])))
         try:
-            expected, expected_dim = reference_parse_letor(path, feature_dim)
+            expected, expected_dim = reference_parse_letor(path)
         except ValueError as exc:
             with pytest.raises(ValueError) as raised:
-                parse_letor(path, feature_dim)
+                parse_letor(path)
             assert str(raised.value) == str(exc)
             return
-        queries, dim = parse_letor(path, feature_dim)
+        queries, dim = parse_letor(path)
         assert dim == expected_dim
         assert [q.qid for q in queries] == [qid for qid, _, _ in expected]
         for q, (_, features, grades) in zip(queries, expected):
@@ -287,14 +281,9 @@ class TestLoadDataset:
         monkeypatch.setattr(datasets, "parse_letor", counted_parse)
         train = write_tmp(tmp_path, "1 qid:1 1:10.0\n0 qid:1 1:30.0\n", "train.txt")
         test = write_tmp(tmp_path, "2 qid:9 1:5.0 3:1.0\n0 qid:9 2:7.0\n", "test.txt")
-        data = load_dataset(train, test, normalize=False)
+        data = load_dataset(train, test)
         assert calls == [train, test]
         assert data.feature_dim == 3
-        assert data.train[0].features.tolist() == [[10.0, 0.0, 0.0], [30.0, 0.0, 0.0]]
-        assert data.test[0].features.tolist() == [[5.0, 0.0, 1.0], [0.0, 7.0, 0.0]]
-
-    def test_normalization_can_be_disabled(self, tmp_path):
-        train = write_tmp(tmp_path, "1 qid:1 1:10.0\n0 qid:1 1:30.0\n", "train.txt")
-        test = write_tmp(tmp_path, "2 qid:9 1:5.0\n", "test.txt")
-        data = load_dataset(train, test, normalize=False)
-        assert data.train[0].features[:, 0].tolist() == [10.0, 30.0]
+        # Normalized per query; train's two padded columns are constant, so they read 0.
+        assert data.train[0].features.tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        assert data.test[0].features.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]

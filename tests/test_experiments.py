@@ -84,7 +84,7 @@ class TestConfig:
             ("learning_rate", "0.1"),
             ("delta", False),
             ("tau", [3]),
-            ("normalize", "no"),
+            ("output_dir", True),
             ("output_dir", 5),
             ("output_dir", None),
             ("baseline_dir", []),
@@ -97,6 +97,26 @@ class TestConfig:
         data["synthetic"] = asdict(TINY_SYNTH)
         with pytest.raises(ValueError, match=f"^config field {field} must be"):
             ExperimentConfig.from_dict(data).validate()
+
+    @pytest.mark.parametrize("value", ["no", True, False, None])
+    def test_normalize_is_an_unknown_field(self, value):
+        # Files are always normalized per query and synthetic data never is.
+        data = {**tiny_config().to_dict(), "synthetic": asdict(TINY_SYNTH), "normalize": value}
+        with pytest.raises(ValueError, match=r"^unknown config fields: \['normalize'\]$"):
+            ExperimentConfig.from_dict(data)
+
+    def test_empty_synthetic_spec_refused(self):
+        with pytest.raises(
+            ValueError,
+            match=r"^synthetic spec is missing fields: \['num_queries', 'docs_per_query', 'feature_dim', 'seed'\]$",
+        ):
+            ExperimentConfig.from_dict({"algorithm": "pdgd", "synthetic": {}})
+
+    @pytest.mark.parametrize("value", [5, "0.2", None, {"a": 1}, ["a", "b", "c", "d"], [0.2, True, 0.6, 0.8]])
+    def test_grade_bins_must_be_a_list_of_numbers(self, value):
+        spec = {**asdict(TINY_SYNTH), "grade_bins": value}
+        with pytest.raises(ValueError, match="^synthetic spec field grade_bins must be a list of numbers, got"):
+            ExperimentConfig.from_dict({"algorithm": "pdgd", "synthetic": spec})
 
     @pytest.mark.parametrize(
         "data, owner",
@@ -204,6 +224,28 @@ class TestRunSingle:
         assert result.final_ndcg - baseline >= 0.15
 
 
+def spy_on_runs(monkeypatch) -> list:
+    """Record the run index of every ``run_with_dataset`` call ``run_experiment`` makes in-process."""
+    started = []
+    run = experiments.run_with_dataset
+
+    def spy(config, run_index, data):
+        started.append(run_index)
+        return run(config, run_index, data)
+
+    monkeypatch.setattr(experiments, "run_with_dataset", spy)
+    return started
+
+
+def baseline_summary(config: ExperimentConfig, finals) -> dict:
+    """A summary.json body comparable with ``config``, with ``per_run_final`` set to ``finals`` (None: absent)."""
+    summary = summarize(config, [RunResult(i, i, config.config_hash(), None, 0.5) for i in range(2)])
+    summary.pop("per_run_final")
+    if finals is not None:
+        summary["per_run_final"] = finals
+    return summary
+
+
 class TestRunExperiment:
     def test_worker_count_is_immaterial(self):
         config = tiny_config(repeats=4)
@@ -283,6 +325,37 @@ class TestRunExperiment:
         assert "checkpoint_schedule" in str(raised.value)
         with pytest.raises(ValueError, match="impressions"):
             run_experiment(config, workers=1)
+
+    def test_single_repeat_with_baseline_refused_before_any_run(self, tmp_path, monkeypatch):
+        (tmp_path / "summary.json").write_text(json.dumps(baseline_summary(tiny_config(), [0.5, 0.6])))
+        started = spy_on_runs(monkeypatch)
+        config = tiny_config(repeats=1, baseline_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="^a baseline_dir needs repeats >= 2 for the Welch test, got 1$"):
+            run_experiment(config, workers=1)
+        assert started == []
+
+    @pytest.mark.parametrize("finals", [None, [0.5], [0.5, "0.6"], "0.5 0.6"])
+    def test_baseline_without_two_finals_refused_before_any_run(self, tmp_path, monkeypatch, finals):
+        summary = baseline_summary(tiny_config(), finals)
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        started = spy_on_runs(monkeypatch)
+        with pytest.raises(ValueError, match="per_run_final must list at least 2 numbers"):
+            run_experiment(tiny_config(baseline_dir=str(tmp_path)), workers=1)
+        assert started == []
+
+    @pytest.mark.parametrize("recorded, comparable", [(False, False), (None, True), (True, True)])
+    def test_baseline_normalize_checked_against_the_policy(self, tmp_path, recorded, comparable):
+        # Files are normalized per query; a baseline that recorded otherwise trained on other data.
+        config = tiny_config(synthetic=None, train_path="train.txt", test_path="test.txt")
+        summary = baseline_summary(config, [0.5, 0.6])
+        summary["config"]["normalize"] = recorded
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        config.baseline_dir = str(tmp_path)
+        if comparable:
+            assert load_baseline(config)["per_run_final"] == [0.5, 0.6]
+        else:
+            with pytest.raises(ValueError, match="normalize is False there, True here"):
+                load_baseline(config)
 
     def test_bundled_dbgd_config_compares_with_pdgd_results(self, tmp_path):
         pdgd = ExperimentConfig.from_json_file(os.path.join(CONFIGS_DIR, "pdgd_perfect.json"))
