@@ -25,6 +25,7 @@ from .experiments import (
     ExperimentConfig,
     SyntheticSpec,
     emit_outputs,
+    read_summary,
     read_trace_csv,
     run_experiment,
     write_curve_svg,
@@ -58,9 +59,7 @@ def _cmd_plot(args) -> int:
 
 
 def _load_finals(out_dir: str) -> np.ndarray:
-    with open(os.path.join(out_dir, "summary.json"), "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
-    return np.asarray(summary["per_run_final"], dtype=np.float64)
+    return np.asarray(read_summary(out_dir)["per_run_final"], dtype=np.float64)
 
 
 def _cmd_compare(args) -> int:

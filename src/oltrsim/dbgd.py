@@ -4,11 +4,37 @@ Each impression perturbs the current model along a random unit direction,
 ranks the query with both models, and asks a comparator whether the
 perturbed candidate is preferred.  Only a win for the candidate moves the
 weights, by ``learning_rate * sphere_radius`` along the perturbation.
+
+:func:`dbgd_step` makes one pass over an impression and builds each
+intermediate once.  It scores both models, ranks them with the shuffle and
+stable sort of :func:`ranking.rank_deterministic`, and, for probabilistic
+interleaving, softens each ranking into masses ``1 / rank**tau`` once; the
+interleaving and the credit both read those two mass vectors.  It calls the
+private cores that :func:`probabilistic_interleave` and
+:func:`infer_preference_probabilistic` wrap, so it skips only their checks
+on the rankings, which the step has just built as permutations of the
+query's documents.
+
+The cores give bit-identical results to drawing one number at a time and
+masking the masses anew at every position:
+
+* Every display position draws exactly one side coin and then one document
+  draw, so one ``rng.random(2 * m)`` call yields the same numbers in the
+  same order.
+* Interleaving keeps a live copy of each mass vector in which the
+  displayed documents are zero.  For finite masses, ``mass * True`` is
+  ``mass`` and ``mass * False`` is ``0.0``, so that copy equals
+  ``masses * remaining`` element for element and its running sum is the
+  same.  ``DbgdState`` and the experiment config refuse a non-finite
+  ``tau``, so the masses are finite in ``[0, 1]``.
+* Credit still sums the remaining masses afresh at each clicked position
+  and accumulates the per-position terms in display order.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,7 +42,7 @@ import numpy as np
 from .clicks import ClickModelSpec, simulate
 from .datasets import Query
 from .evaluation import ndcg_at_k
-from .ranking import LinearRanker, rank_deterministic, sample_unit_sphere
+from .ranking import LinearRanker, _order_by_score, sample_unit_sphere
 
 PROBABILISTIC = "probabilistic"
 TEAM_DRAFT = "team_draft"
@@ -42,10 +68,10 @@ class DbgdState:
     tau: float = 3.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.sphere_radius <= 0:
-            raise ValueError("sphere_radius must be positive")
+        for name in ("learning_rate", "sphere_radius", "tau"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.comparator not in COMPARATORS:
             raise ValueError(f"unknown comparator {self.comparator!r}, expected one of {COMPARATORS}")
 
@@ -87,18 +113,27 @@ def probabilistic_interleave(
     for the ranking whose distribution produced position ``p``.
     """
     r_a, r_b = _check_ranking_pair(r_a, r_b)
-    n = r_a.size
-    m = min(k, n)
     if k < 1:
         raise ValueError("k must be >= 1")
-    masses = (_rank_softness(r_a, tau), _rank_softness(r_b, tau))
+    return _interleave_from_masses(_rank_softness(r_a, tau), _rank_softness(r_b, tau), min(k, r_a.size), rng)
+
+
+def _interleave_from_masses(
+    mass_a: np.ndarray, mass_b: np.ndarray, m: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilistic interleaving of ``m`` positions from two softened rankings' masses."""
+    n = mass_a.size
+    # Per position: the side coin, then the document draw.
+    draws = rng.random(2 * m).tolist()
+    live = (mass_a.copy(), mass_b.copy())  # displayed documents zeroed
     remaining = np.ones(n, dtype=bool)
+    cumulative = np.empty(n)
     displayed = np.empty(m, dtype=np.int64)
     assignments = np.empty(m, dtype=np.int64)
     for pos in range(m):
-        side = int(rng.random() < 0.5)
-        cumulative = np.cumsum(masses[side] * remaining)
-        doc = int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
+        side = int(draws[2 * pos] < 0.5)
+        np.add.accumulate(live[side], out=cumulative)
+        doc = int(cumulative.searchsorted(draws[2 * pos + 1] * cumulative[-1], side="right"))
         if doc >= n or not remaining[doc]:
             # u * total can round up to exactly total; fall back to the
             # last document still in play.
@@ -106,6 +141,8 @@ def probabilistic_interleave(
         displayed[pos] = doc
         assignments[pos] = side
         remaining[doc] = False
+        live[0][doc] = 0.0
+        live[1][doc] = 0.0
     return displayed, assignments
 
 
@@ -132,22 +169,26 @@ def infer_preference_probabilistic(
     clicks = np.asarray(clicks, dtype=bool)
     if clicks.shape != displayed.shape:
         raise ValueError("clicks must align with the displayed list")
-    if not clicks.any():
-        return ComparisonOutcome.TIE
+    return _infer_from_masses(displayed, clicks, _rank_softness(r_a, tau), _rank_softness(r_b, tau))
 
-    mass_a = _rank_softness(r_a, tau)
-    mass_b = _rank_softness(r_b, tau)
-    remaining = np.ones(r_a.size, dtype=bool)
+
+def _infer_from_masses(
+    displayed: np.ndarray, clicks: np.ndarray, mass_a: np.ndarray, mass_b: np.ndarray
+) -> ComparisonOutcome:
+    """Probabilistic-interleaving credit from the two softened rankings' masses."""
+    remaining = np.ones(mass_a.size, dtype=bool)
     credit_diff = 0.0
-    for pos, doc in enumerate(displayed):
-        if clicks[pos]:
-            # Fresh sums keep equal-probability positions exactly tied (the
-            # last displayed position in particular always contributes 0),
-            # and the antisymmetric form makes swapped roles cancel exactly.
-            w_a = mass_a[doc] / mass_a[remaining].sum()
-            w_b = mass_b[doc] / mass_b[remaining].sum()
-            credit_diff += (w_a - w_b) / (w_a + w_b)
-        remaining[doc] = False
+    shown = 0
+    for pos in np.flatnonzero(clicks):
+        remaining[displayed[shown:pos]] = False
+        shown = pos
+        doc = displayed[pos]
+        # Fresh sums keep equal-probability positions exactly tied (the
+        # last displayed position in particular always contributes 0),
+        # and the antisymmetric form makes swapped roles cancel exactly.
+        w_a = mass_a[doc] / mass_a[remaining].sum()
+        w_b = mass_b[doc] / mass_b[remaining].sum()
+        credit_diff += (w_a - w_b) / (w_a + w_b)
     if credit_diff > 0:
         return ComparisonOutcome.CURRENT
     if credit_diff < 0:
@@ -229,14 +270,18 @@ def dbgd_step(
     rng: np.random.Generator,
     k: int = 10,
 ) -> DbgdState:
-    """One impression of perturb, compare, and conditionally update."""
+    """One impression of perturb, compare, and conditionally update.
+
+    Draws, in order: the direction, the tie-breaking shuffle of the current
+    model's ranking and then the candidate's, the interleaving, the clicks.
+    """
     if query.n_docs < 1:
         raise ValueError("query has no documents")
     direction = sample_unit_sphere(state.ranker.dim, rng)
     candidate = LinearRanker(state.ranker.weights + state.sphere_radius * direction)
-    n = query.n_docs
-    ranking_current = rank_deterministic(state.ranker, query.features, n, rng)
-    ranking_candidate = rank_deterministic(candidate, query.features, n, rng)
+    features = query.features
+    ranking_current = _order_by_score(state.ranker.score_all(features), rng)
+    ranking_candidate = _order_by_score(features @ candidate.weights, rng)
 
     if state.comparator == ORACLE:
         outcome = oracle_compare(ranking_current, ranking_candidate, query.relevance, k)
@@ -244,11 +289,13 @@ def dbgd_step(
         if click_spec is None:
             raise ValueError(f"comparator {state.comparator!r} needs a click model")
         if state.comparator == PROBABILISTIC:
-            displayed, _ = probabilistic_interleave(ranking_current, ranking_candidate, k, rng, state.tau)
+            if k < 1:
+                raise ValueError("k must be >= 1")
+            mass_current = _rank_softness(ranking_current, state.tau)
+            mass_candidate = _rank_softness(ranking_candidate, state.tau)
+            displayed, _ = _interleave_from_masses(mass_current, mass_candidate, min(k, query.n_docs), rng)
             interaction = simulate(displayed, query.relevance[displayed], click_spec, rng)
-            outcome = infer_preference_probabilistic(
-                displayed, interaction.clicks, ranking_current, ranking_candidate, state.tau
-            )
+            outcome = _infer_from_masses(displayed, interaction.clicks, mass_current, mass_candidate)
         else:
             displayed, teams = team_draft_interleave(ranking_current, ranking_candidate, k, rng)
             interaction = simulate(displayed, query.relevance[displayed], click_spec, rng)

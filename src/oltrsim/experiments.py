@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass
@@ -164,10 +165,11 @@ class ExperimentConfig:
             raise ValueError("repeats must be >= 1")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.delta <= 0 or self.tau <= 0:
-            raise ValueError("delta and tau must be positive")
+        # Python's json reads NaN and Infinity as floats; NaN passes "<= 0" tests.
+        for name in ("learning_rate", "delta", "tau"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")
         if self.num_checkpoints < 1:
@@ -364,6 +366,24 @@ def run_experiment(
     return results, summary
 
 
+def read_summary(directory: str | os.PathLike) -> dict:
+    """The ``summary.json`` in ``directory``, once it holds what a comparison reads.
+
+    Raises ``ValueError``, naming the file and the field, unless the file
+    is a JSON object whose ``config`` is an object and whose
+    ``per_run_final`` lists at least 2 finite numbers.
+    """
+    path = os.path.join(directory, "summary.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        summary = json.load(fh)
+    _check_object(path, summary)
+    _check_object(f"{path}: config", summary.get("config"))
+    finals = summary.get("per_run_final")
+    if not _is_number_list(finals) or len(finals) < 2 or not all(math.isfinite(v) for v in finals):
+        raise ValueError(f"{path}: per_run_final must list at least 2 numbers, all finite, got {finals!r}")
+    return summary
+
+
 def _comparable_fields(config: dict) -> dict:
     """The fields a Welch test against another run set needs to be equal, as JSON values."""
     normalize = config.get("normalize")
@@ -384,16 +404,10 @@ def load_baseline(config: ExperimentConfig) -> dict | None:
         return None
     if config.repeats < 2:
         raise ValueError(f"a baseline_dir needs repeats >= 2 for the Welch test, got {config.repeats}")
-    with open(os.path.join(config.baseline_dir, "summary.json"), "r", encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    finals = baseline.get("per_run_final")
-    if not _is_number_list(finals) or len(finals) < 2:
-        raise ValueError(
-            f"baseline {config.baseline_dir}: per_run_final must list at least 2 numbers, got {finals!r}"
-        )
+    baseline = read_summary(config.baseline_dir)
     ours = _comparable_fields(config.to_dict())
     ours["checkpoint_schedule"] = checkpoint_schedule(config.impressions, config.num_checkpoints)
-    theirs = _comparable_fields(baseline.get("config", {}))
+    theirs = _comparable_fields(baseline["config"])
     theirs["checkpoint_schedule"] = baseline.get("checkpoint_schedule")
     differing = [name for name in ours if ours[name] != theirs[name]]
     if differing:

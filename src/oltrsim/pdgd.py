@@ -15,6 +15,7 @@ the pair preferences go through one sigmoid call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ class PdgdState:
     learning_rate: float = 0.1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
 
 
 @dataclass(eq=False)

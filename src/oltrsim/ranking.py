@@ -88,10 +88,17 @@ def rank_deterministic(
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = ranker.score_all(candidates)
-    n = scores.shape[0]
-    perm = rng.permutation(n)
-    order = perm[np.argsort(-scores[perm], kind="stable")]
-    return order[: min(k, n)]
+    return _order_by_score(scores, rng)[: min(k, scores.shape[0])]
+
+
+def _order_by_score(scores: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Every index of ``scores`` by descending score, ties in uniformly random order.
+
+    The shuffle-then-stable-sort of :func:`rank_deterministic`, without its
+    checks, for callers that built ``scores`` themselves.
+    """
+    perm = rng.permutation(scores.shape[0])
+    return perm[np.argsort(-scores[perm], kind="stable")]
 
 
 def sample_ranking(

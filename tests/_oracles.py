@@ -3,7 +3,11 @@
 Everything here is deliberately written from first principles (plain
 Python / small numpy, direct products, brute-force enumeration) and must
 not import from oltrsim, so tests compare two genuinely different routes
-to the same quantity.
+to the same quantity.  The one exception is :func:`reference_dbgd_step`,
+the DBGD step as it was before it became one pass: it calls the package's
+direction sampler, click simulator, team-draft interleaver and oracle
+comparator, which the one-pass step calls too, and brings its own copy of
+everything the one-pass step replaced.
 """
 
 import itertools
@@ -356,3 +360,112 @@ def reference_pdgd_update(weights, features, ranking, clicks, learning_rate):
     diffs = features[docs_i] - features[docs_j]
     gradient = pair_scale @ diffs
     return weights + learning_rate * gradient
+
+
+def _reference_rank_softness(ranking, tau):
+    n = ranking.size
+    ranks = np.empty(n)
+    ranks[ranking] = np.arange(1, n + 1)
+    return ranks**-tau
+
+
+def _reference_check_ranking_pair(r_a, r_b):
+    r_a = np.asarray(r_a)
+    r_b = np.asarray(r_b)
+    if r_a.size == 0 or r_b.size == 0:
+        raise ValueError("rankings must be non-empty")
+    if r_a.size != r_b.size or not np.array_equal(np.sort(r_a), np.sort(r_b)):
+        raise ValueError("both rankings must cover the same candidate set")
+    return r_a, r_b
+
+
+def reference_probabilistic_interleave(r_a, r_b, k, rng, tau=3.0):
+    """Probabilistic interleaving as first written: two draws and a masked cumsum per position."""
+    r_a, r_b = _reference_check_ranking_pair(r_a, r_b)
+    n = r_a.size
+    m = min(k, n)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    masses = (_reference_rank_softness(r_a, tau), _reference_rank_softness(r_b, tau))
+    remaining = np.ones(n, dtype=bool)
+    displayed = np.empty(m, dtype=np.int64)
+    assignments = np.empty(m, dtype=np.int64)
+    for pos in range(m):
+        side = int(rng.random() < 0.5)
+        cumulative = np.cumsum(masses[side] * remaining)
+        doc = int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
+        if doc >= n or not remaining[doc]:
+            doc = int(np.flatnonzero(remaining)[-1])
+        displayed[pos] = doc
+        assignments[pos] = side
+        remaining[doc] = False
+    return displayed, assignments
+
+
+def reference_infer_preference_probabilistic(displayed, clicks, r_a, r_b, tau=3.0):
+    """Probabilistic-interleaving credit as first written; ``"current"``, ``"candidate"`` or ``"tie"``."""
+    r_a, r_b = _reference_check_ranking_pair(r_a, r_b)
+    displayed = np.asarray(displayed)
+    clicks = np.asarray(clicks, dtype=bool)
+    if clicks.shape != displayed.shape:
+        raise ValueError("clicks must align with the displayed list")
+    if not clicks.any():
+        return "tie"
+    mass_a = _reference_rank_softness(r_a, tau)
+    mass_b = _reference_rank_softness(r_b, tau)
+    remaining = np.ones(r_a.size, dtype=bool)
+    credit_diff = 0.0
+    for pos, doc in enumerate(displayed):
+        if clicks[pos]:
+            w_a = mass_a[doc] / mass_a[remaining].sum()
+            w_b = mass_b[doc] / mass_b[remaining].sum()
+            credit_diff += (w_a - w_b) / (w_a + w_b)
+        remaining[doc] = False
+    if credit_diff > 0:
+        return "current"
+    if credit_diff < 0:
+        return "candidate"
+    return "tie"
+
+
+def reference_dbgd_step(state, query, click_spec, rng, k=10):
+    """The DBGD step as first written: checked ranking, interleaving and credit calls.
+
+    Takes and returns a ``DbgdState``; draws the same numbers in the same
+    order as the package's step must.
+    """
+    from dataclasses import replace
+
+    from oltrsim import clicks, dbgd, ranking
+
+    if query.n_docs < 1:
+        raise ValueError("query has no documents")
+    direction = ranking.sample_unit_sphere(state.ranker.dim, rng)
+    candidate = ranking.LinearRanker(state.ranker.weights + state.sphere_radius * direction)
+    orders = []
+    for model in (state.ranker, candidate):
+        scores = model.score_all(query.features)
+        perm = rng.permutation(scores.shape[0])
+        orders.append(perm[np.argsort(-scores[perm], kind="stable")])
+    ranking_current, ranking_candidate = orders
+
+    if state.comparator == dbgd.ORACLE:
+        outcome = dbgd.oracle_compare(ranking_current, ranking_candidate, query.relevance, k).value
+    else:
+        if click_spec is None:
+            raise ValueError(f"comparator {state.comparator!r} needs a click model")
+        if state.comparator == dbgd.PROBABILISTIC:
+            displayed, _ = reference_probabilistic_interleave(ranking_current, ranking_candidate, k, rng, state.tau)
+            interaction = clicks.simulate(displayed, query.relevance[displayed], click_spec, rng)
+            outcome = reference_infer_preference_probabilistic(
+                displayed, interaction.clicks, ranking_current, ranking_candidate, state.tau
+            )
+        else:
+            displayed, teams = dbgd.team_draft_interleave(ranking_current, ranking_candidate, k, rng)
+            interaction = clicks.simulate(displayed, query.relevance[displayed], click_spec, rng)
+            outcome = dbgd.team_draft_infer(teams, interaction.clicks).value
+
+    if outcome != "candidate":
+        return state
+    step = state.learning_rate * state.sphere_radius * direction
+    return replace(state, ranker=ranking.LinearRanker(state.ranker.weights + step))

@@ -58,6 +58,14 @@ class TestRun:
         assert main(["run", str(config_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_tau_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        config_path, _ = write_config(tmp_path, algorithm="dbgd")
+        config_path.write_text(config_path.read_text()[:-1] + ', "tau": NaN}')
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(config_path), "--workers", "1"]) == 1
+        assert capsys.readouterr().err == "error: tau must be positive and finite, got nan\n"
+        assert os.listdir(tmp_path) == [config_path.name]
+
     @pytest.mark.parametrize("field, value", [("output_dir", 5), ("baseline_dir", [])])
     def test_bad_field_type_fails_before_any_run(self, tmp_path, capsys, monkeypatch, field, value):
         # Refused by validation, before any run starts or any output is written.
@@ -97,6 +105,19 @@ class TestCompare:
 
     def test_compare_missing_dir_fails(self, tmp_path):
         assert main(["compare", str(tmp_path / "none_a"), str(tmp_path / "none_b")]) == 1
+
+    @pytest.mark.parametrize(
+        "body, field",
+        [({"repeats": 2}, "config"), ({"config": {}, "repeats": 2}, "per_run_final"), (5, "summary.json")],
+    )
+    def test_compare_names_the_directory_and_field(self, tmp_path, capsys, body, field):
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "summary.json").write_text(json.dumps(body))
+        assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + os.path.join(str(tmp_path / "a"), "summary.json"))
+        assert field in err
 
 
 class TestSynth:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import oltrsim.dbgd as dbgd_module
-from oltrsim.clicks import click_model
+from oltrsim.clicks import MODEL_NAMES, click_model
 from oltrsim.datasets import Query
 from oltrsim.dbgd import (
+    COMPARATORS,
     ComparisonOutcome,
     DbgdState,
     dbgd_step,
@@ -18,7 +19,13 @@ from oltrsim.dbgd import (
 )
 from oltrsim.ranking import LinearRanker, zero_ranker
 
-from _oracles import enumerate_interleave_credit, softened_mass
+from _oracles import (
+    enumerate_interleave_credit,
+    reference_dbgd_step,
+    reference_infer_preference_probabilistic,
+    reference_probabilistic_interleave,
+    softened_mass,
+)
 
 
 def random_ranking_pair(rng, n):
@@ -199,7 +206,7 @@ class TestDbgdStep:
     def test_update_geometry(self, rng, monkeypatch):
         # Every step moves the weights by exactly eta * delta on a candidate
         # win and not at all otherwise.
-        outcomes = self.record_outcomes(monkeypatch, "infer_preference_probabilistic")
+        outcomes = self.record_outcomes(monkeypatch, "_infer_from_masses")
         spec = click_model("perfect")
         state = DbgdState(zero_ranker(4), learning_rate=0.001, sphere_radius=1.0)
         query = self.make_query(rng)
@@ -234,7 +241,7 @@ class TestDbgdStep:
         assert np.allclose(updated.ranker.weights, [0.0006, 0.0008], atol=1e-15)
 
     def test_loss_or_tie_keeps_weights(self, rng, monkeypatch):
-        outcomes = self.record_outcomes(monkeypatch, "infer_preference_probabilistic")
+        outcomes = self.record_outcomes(monkeypatch, "_infer_from_masses")
         spec = click_model("perfect")
         state = DbgdState(LinearRanker(np.array([0.5, -0.5, 0.1, 0.2])), learning_rate=0.001)
         query = self.make_query(rng)
@@ -291,3 +298,142 @@ class TestDbgdStep:
             DbgdState(zero_ranker(2), sphere_radius=0.0)
         with pytest.raises(ValueError):
             DbgdState(zero_ranker(2), comparator="nope")
+
+    @pytest.mark.parametrize("name", ["learning_rate", "sphere_radius", "tau"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_hyperparameters_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
+            DbgdState(zero_ranker(2), **{name: value})
+
+
+class ForcedRoundUp:
+    """A generator whose uniforms above 0.75 read 1.0, which ``random()`` never returns.
+
+    A document draw of 1.0 makes ``u * total`` equal the total, so the
+    interleaver must fall back to the last remaining document.  Everything
+    else is the wrapped generator's.
+    """
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.forced = 0
+
+    def random(self, size=None):
+        u = np.asarray(self._rng.random(size))
+        high = u > 0.75
+        self.forced += int(high.sum())
+        u = np.where(high, 1.0, u)
+        return float(u) if size is None else u
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def random_step_case(rng, comparator, model, tau=None):
+    """A state and query with few or many documents, and zero, tied or spread weights."""
+    n = int(rng.choice([1, int(rng.integers(2, 10)), int(rng.integers(10, 60))]))
+    dim = int(rng.integers(1, 8))
+    features = rng.normal(size=(n, dim))
+    if n > 2 and rng.random() < 0.3:
+        features[n // 2 :] = features[0]  # tied scores for any weights
+    kind = rng.integers(3)
+    if kind == 0:
+        weights = np.zeros(dim)
+    elif kind == 1:
+        weights = np.full(dim, 0.25)
+    else:
+        weights = rng.normal(size=dim) * float(rng.choice([0.01, 1.0, 100.0]))
+    state = DbgdState(
+        LinearRanker(weights),
+        learning_rate=float(rng.choice([0.001, 0.1, 1.0])),
+        sphere_radius=float(rng.choice([0.5, 1.0, 3.0])),
+        comparator=comparator,
+        tau=float(rng.choice([1.0, 3.0, 7.5])) if tau is None else tau,
+    )
+    query = Query(qid="q", features=features, relevance=rng.integers(0, 5, size=n))
+    spec = None if comparator == "oracle" and rng.random() < 0.5 else click_model(model)
+    return state, query, spec, int(rng.choice([1, 3, 10, 20]))
+
+
+def assert_steps_match(state, query, spec, k, rng_reference, rng_fused, steps):
+    """Run both steps side by side; return how many moved the weights."""
+    moved = 0
+    reference = fused = state
+    for _ in range(steps):
+        reference = reference_dbgd_step(reference, query, spec, rng_reference, k)
+        new_fused = dbgd_step(fused, query, spec, rng_fused, k)
+        assert np.array_equal(new_fused.ranker.weights, reference.ranker.weights)
+        assert rng_fused.bit_generator.state == rng_reference.bit_generator.state
+        moved += not np.array_equal(new_fused.ranker.weights, fused.ranker.weights)
+        fused = new_fused
+    return moved
+
+
+class TestStepMatchesReference:
+    """The one-pass step equals the step that called the checked functions, bit for bit."""
+
+    @pytest.mark.parametrize("comparator", COMPARATORS)
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_seeded_steps(self, comparator, model):
+        rng = np.random.default_rng([2718, COMPARATORS.index(comparator), MODEL_NAMES.index(model)])
+        moved = 0
+        for _ in range(40):
+            state, query, spec, k = random_step_case(rng, comparator, model)
+            seed = int(rng.integers(1 << 32))
+            moved += assert_steps_match(
+                state, query, spec, k, np.random.default_rng(seed), np.random.default_rng(seed), steps=8
+            )
+        assert moved > 0
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_underflowing_masses(self, model):
+        # At tau = 2000 every mass below rank 1 underflows to 0, so once the
+        # top documents are shown the remaining total is 0 and the fallback
+        # picks every later position.  Credit then divides 0 by 0 on both
+        # sides alike.
+        rng = np.random.default_rng(2719)
+        assert 2.0**-2000 == 0.0
+        moved = 0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for _ in range(40):
+                state, query, spec, k = random_step_case(rng, "probabilistic", model, tau=2000.0)
+                seed = int(rng.integers(1 << 32))
+                moved += assert_steps_match(
+                    state, query, spec, k, np.random.default_rng(seed), np.random.default_rng(seed), steps=8
+                )
+        assert moved > 0
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_forced_round_up(self, model):
+        rng = np.random.default_rng(2720)
+        forced = 0
+        for _ in range(40):
+            state, query, spec, k = random_step_case(rng, "probabilistic", model)
+            seed = int(rng.integers(1 << 32))
+            rng_reference, rng_fused = ForcedRoundUp(seed), ForcedRoundUp(seed)
+            assert_steps_match(state, query, spec, k, rng_reference, rng_fused, steps=4)
+            assert rng_fused.forced == rng_reference.forced
+            forced += rng_fused.forced
+        assert forced > 0
+
+
+class TestPublicFunctionsMatchReference:
+    def test_interleave_and_credit(self):
+        rng = np.random.default_rng(2721)
+        for trial in range(400):
+            n = int(rng.choice([1, int(rng.integers(2, 12)), int(rng.integers(12, 60))]))
+            k = int(rng.choice([1, 5, 10, 70]))
+            tau = float(rng.choice([0.5, 3.0, 10.0]))
+            r_a, r_b = random_ranking_pair(rng, n)
+            seed = int(rng.integers(1 << 32))
+            rng_reference = ForcedRoundUp(seed) if trial % 4 == 0 else np.random.default_rng(seed)
+            rng_new = ForcedRoundUp(seed) if trial % 4 == 0 else np.random.default_rng(seed)
+            expected = reference_probabilistic_interleave(r_a, r_b, k, rng_reference, tau)
+            displayed, assignments = probabilistic_interleave(r_a, r_b, k, rng_new, tau)
+            assert np.array_equal(displayed, expected[0])
+            assert np.array_equal(assignments, expected[1])
+            assert rng_new.bit_generator.state == rng_reference.bit_generator.state
+            for _ in range(4):
+                clicks = rng.random(displayed.size) < rng.random()
+                outcome = infer_preference_probabilistic(displayed, clicks, r_a, r_b, tau)
+                assert outcome.value == reference_infer_preference_probabilistic(displayed, clicks, r_a, r_b, tau)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
 
@@ -19,6 +20,7 @@ from oltrsim.experiments import (
     emit_outputs,
     load_baseline,
     load_config_dataset,
+    read_summary,
     read_trace_csv,
     run_experiment,
     run_with_dataset,
@@ -97,6 +99,25 @@ class TestConfig:
         data["synthetic"] = asdict(TINY_SYNTH)
         with pytest.raises(ValueError, match=f"^config field {field} must be"):
             ExperimentConfig.from_dict(data).validate()
+
+    @pytest.mark.parametrize("field", ["learning_rate", "delta", "tau"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0, -1.5])
+    def test_hyperparameters_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got "):
+            tiny_config(algorithm="dbgd", **{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["learning_rate", "delta", "tau"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_json_refused_before_any_run(self, monkeypatch, field, literal):
+        # Python's json module reads NaN and Infinity as floats.
+        data = {**tiny_config(algorithm="dbgd").to_dict(), "synthetic": asdict(TINY_SYNTH)}
+        del data[field]
+        text = json.dumps(data)[:-1] + f', "{field}": {literal}}}'
+        config = ExperimentConfig.from_dict(json.loads(text))
+        started = spy_on_runs(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got (nan|inf)$"):
+            run_experiment(config, workers=1)
+        assert started == []
 
     @pytest.mark.parametrize("value", ["no", True, False, None])
     def test_normalize_is_an_unknown_field(self, value):
@@ -342,6 +363,24 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="per_run_final must list at least 2 numbers"):
             run_experiment(tiny_config(baseline_dir=str(tmp_path)), workers=1)
         assert started == []
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ({"config": 5, "per_run_final": [0.5, 0.6]}, r": config must be a JSON object, got 5$"),
+            ({"per_run_final": [0.5, 0.6]}, r": config must be a JSON object, got None$"),
+            ([0.5, 0.6], r" must be a JSON object, got \[0.5, 0.6\]$"),
+            ({"config": {}, "per_run_final": [0.5, float("nan")]}, r": per_run_final must list at least 2 numbers"),
+            ({"config": {}, "per_run_final": [0.5, True]}, r": per_run_final must list at least 2 numbers"),
+        ],
+    )
+    def test_malformed_baseline_summary_named(self, tmp_path, body, message):
+        (tmp_path / "summary.json").write_text(json.dumps(body))
+        path = os.path.join(str(tmp_path), "summary.json")
+        with pytest.raises(ValueError, match="^" + re.escape(path) + message):
+            load_baseline(tiny_config(baseline_dir=str(tmp_path)))
+        with pytest.raises(ValueError, match="^" + re.escape(path) + message):
+            read_summary(tmp_path)
 
     @pytest.mark.parametrize("recorded, comparable", [(False, False), (None, True), (True, True)])
     def test_baseline_normalize_checked_against_the_policy(self, tmp_path, recorded, comparable):

@@ -18,6 +18,7 @@ from oltrsim.clicks import (
     simulate_noncascading,
 )
 from oltrsim.datasets import Query
+from oltrsim.dbgd import DbgdState, dbgd_step
 from oltrsim.pdgd import PdgdState, pdgd_update
 from oltrsim.ranking import LinearRanker, sample_ranking
 
@@ -37,6 +38,27 @@ def non_finite_update():
     with np.errstate(over="ignore"):  # the step overflows to inf, which the update must refuse
         return pdgd_update(state, query, Interaction(ranking=np.array([0, 1]), clicks=np.array([True, False])))
 
+
+def dbgd_step_on(state, query=QUERY, spec=click_model(PERFECT), k=10, seeds=1):
+    """Run one step per seed; with several seeds, until one of them raises."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing steps are what is refused
+        for seed in range(seeds):
+            dbgd_step(state, query, spec, np.random.default_rng(seed), k)
+
+
+def query_without_documents():
+    query = Query(qid="q", features=np.zeros((1, 3)), relevance=[0])
+    query.features, query.relevance = np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
+    return query
+
+
+# With seed 0 a one-dimensional direction is +1, so the candidate overflows.
+HUGE_CANDIDATE = DbgdState(LinearRanker([1e308]), sphere_radius=1e308, comparator="oracle")
+# The candidate is finite but a winning step of 1e308 * 1e308 is not; the
+# oracle prefers the candidate whenever it puts the grade-4 document first
+# and the tied current model did not.
+HUGE_STEP = DbgdState(LinearRanker([0.0]), learning_rate=1e308, sphere_radius=1e308, comparator="oracle")
+TWO_DOCS = Query(qid="q", features=[[1.0], [-1.0]], relevance=[4, 0])
 
 CASES = {
     "pdgd_update duplicate ranking": (
@@ -82,6 +104,38 @@ CASES = {
     "non-cascading simulator, perfect model": (
         lambda: simulate_noncascading(np.arange(2), [1, 1], click_model(PERFECT), np.random.default_rng(0)),
         "click model 'perfect' not valid here, expected one of ('almost_random_noncascading',)",
+    ),
+    "dbgd_step query without documents": (
+        lambda: dbgd_step_on(DbgdState(LinearRanker(np.zeros(3))), query_without_documents()),
+        "query has no documents",
+    ),
+    "dbgd_step feature dimension mismatch": (
+        lambda: dbgd_step_on(DbgdState(LinearRanker(np.zeros(2)))),
+        "feature dimension 3 does not match ranker dimension 2",
+    ),
+    "dbgd_step non-finite candidate": (
+        lambda: dbgd_step_on(HUGE_CANDIDATE, TWO_DOCS),
+        "weights must be finite",
+    ),
+    "dbgd_step non-finite update": (
+        lambda: dbgd_step_on(HUGE_STEP, TWO_DOCS, seeds=20),
+        "weights must be finite",
+    ),
+    "dbgd_step probabilistic without click model": (
+        lambda: dbgd_step_on(DbgdState(LinearRanker(np.zeros(3))), spec=None),
+        "comparator 'probabilistic' needs a click model",
+    ),
+    "dbgd_step team draft without click model": (
+        lambda: dbgd_step_on(DbgdState(LinearRanker(np.zeros(3)), comparator="team_draft"), spec=None),
+        "comparator 'team_draft' needs a click model",
+    ),
+    "dbgd_step probabilistic k < 1": (
+        lambda: dbgd_step_on(DbgdState(LinearRanker(np.zeros(3))), k=0),
+        "k must be >= 1",
+    ),
+    "dbgd_step team draft k < 1": (
+        lambda: dbgd_step_on(DbgdState(LinearRanker(np.zeros(3)), comparator="team_draft"), k=0),
+        "k must be >= 1",
     ),
     "sample_ranking empty candidates": (
         lambda: sample_ranking(LinearRanker(np.zeros(3)), np.zeros((0, 3)), 10, np.random.default_rng(0)),

@@ -183,6 +183,11 @@ class TestUpdate:
         with pytest.raises(ValueError):
             PdgdState(LinearRanker([1.0]), learning_rate=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate(self, value):
+        with pytest.raises(ValueError, match="^learning_rate must be positive and finite, got "):
+            PdgdState(LinearRanker([1.0]), learning_rate=value)
+
 
 def random_update_case(rng, n_docs, dim, spread, clicks=None, k=10):
     """A state, query and interaction whose scores span about ``[-spread, spread]``."""
