@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run the full desk-scale learner comparison on the bundled benchmark.
 
-Executes DBGD (probabilistic interleaving and oracle comparator) and PDGD
-under the perfect and almost-random behavior models, prints a summary
-table with Welch significance tests against DBGD-perfect, and writes the
-usual trace/summary/curve outputs per arm.
+Executes every arm of ``oltrsim.experiments.PAPER_ARMS`` (PDGD and DBGD
+with probabilistic interleaving or an oracle comparator, under perfect and
+almost-random users), prints a summary table with Welch significance tests
+against dbgd_prob_perfect, and writes the usual trace/summary/curve
+outputs into one directory per arm, named after it.
 
 Usage:
     python scripts/compare_learners.py --out results/comparison
@@ -19,17 +20,9 @@ import time
 import numpy as np
 
 from oltrsim.evaluation import welch_t_test
-from oltrsim.experiments import BUNDLED_SYNTHETIC, ExperimentConfig, emit_outputs, run_experiment
+from oltrsim.experiments import PAPER_ARMS, arm_config, emit_outputs, run_experiment
 
-ARMS = [
-    # name, algorithm, comparator, click model, base seed
-    ("dbgd_perfect", "dbgd", "probabilistic", "perfect", 22),
-    ("dbgd_oracle", "dbgd", "oracle", "perfect", 33),
-    ("dbgd_ar_cascading", "dbgd", "probabilistic", "almost_random_cascading", 66),
-    ("pdgd_perfect", "pdgd", "probabilistic", "perfect", 11),
-    ("pdgd_ar_cascading", "pdgd", "probabilistic", "almost_random_cascading", 44),
-    ("pdgd_ar_noncascading", "pdgd", "probabilistic", "almost_random_noncascading", 55),
-]
+REFERENCE = "dbgd_prob_perfect"
 
 
 def main() -> int:
@@ -41,16 +34,9 @@ def main() -> int:
     args = parser.parse_args()
 
     finals = {}
-    for name, algorithm, comparator, model, seed in ARMS:
-        config = ExperimentConfig(
-            algorithm=algorithm,
-            comparator=comparator,
-            click_model=model,
-            synthetic=BUNDLED_SYNTHETIC,
-            impressions=args.impressions,
-            repeats=args.repeats,
-            base_seed=seed,
-            output_dir=os.path.join(args.out, name),
+    for name in PAPER_ARMS:
+        config = arm_config(
+            name, impressions=args.impressions, repeats=args.repeats, output_dir=os.path.join(args.out, name)
         )
         start = time.time()
         results, summary = run_experiment(config, workers=args.workers)
@@ -61,15 +47,15 @@ def main() -> int:
             f"+/- {summary['final_ndcg_std']:.4f}  ({time.time() - start:.0f}s)"
         )
 
-    reference = finals["dbgd_perfect"]
-    print(f"\n{'arm':22s} {'mean':>8s} {'std':>8s} {'vs dbgd_perfect':>18s}")
+    reference = finals[REFERENCE]
+    print(f"\n{'arm':22s} {'mean':>8s} {'std':>8s} {'vs ' + REFERENCE:>22s}")
     for name, values in finals.items():
-        if name == "dbgd_perfect":
+        if name == REFERENCE:
             verdict = "-"
         else:
             t, p = welch_t_test(values, reference)
             verdict = f"t={t:+.2f}, p={p:.1e}"
-        print(f"{name:22s} {values.mean():8.4f} {values.std(ddof=1):8.4f} {verdict:>18s}")
+        print(f"{name:22s} {values.mean():8.4f} {values.std(ddof=1):8.4f} {verdict:>22s}")
     print(f"\noutputs under {args.out}/<arm>/")
     return 0
 

@@ -220,13 +220,6 @@ def sample_query(dataset: Dataset, rng: np.random.Generator) -> Query:
     return dataset.train[rng.integers(len(dataset.train))]
 
 
-def synthetic_generating_weights(feature_dim: int, seed: int) -> np.ndarray:
-    """The hidden weight vector a synthetic dataset's grades are derived from."""
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=feature_dim)
-    return v / np.linalg.norm(v)
-
-
 QUINTILE_GRADE_BINS = (0.2, 0.4, 0.6, 0.8)
 
 
@@ -255,6 +248,8 @@ def make_synthetic(
     """
     if num_queries < 1 or docs_per_query < 1 or feature_dim < 1:
         raise ValueError("num_queries, docs_per_query and feature_dim must all be >= 1")
+    if not np.isfinite(hardness):
+        raise ValueError(f"hardness must be finite, got {hardness!r}")
     if len(grade_bins) != 4 or list(grade_bins) != sorted(grade_bins):
         raise ValueError("grade_bins must be 4 increasing rank-fraction thresholds")
     if hardness and feature_dim < 2:

@@ -15,6 +15,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -208,6 +209,37 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
+# The paper's comparison grid, arm name -> (algorithm, comparator, click
+# model, base seed): PDGD against DBGD with probabilistic interleaving and
+# with an oracle comparator, under perfect and almost-random users.  The
+# acceptance battery and scripts/compare_learners.py run these arms; the
+# names and seeds are the benchmark's, and tests pin the benchmark's arms
+# and configs/*_perfect.json to this table.
+PAPER_ARMS = MappingProxyType(
+    {
+        "pdgd_perfect": ("pdgd", dbgd.PROBABILISTIC, clicks.PERFECT, 11),
+        "dbgd_prob_perfect": ("dbgd", dbgd.PROBABILISTIC, clicks.PERFECT, 22),
+        "dbgd_oracle_perfect": ("dbgd", dbgd.ORACLE, clicks.PERFECT, 33),
+        "pdgd_ar_casc": ("pdgd", dbgd.PROBABILISTIC, clicks.ALMOST_RANDOM_CASCADING, 44),
+        "pdgd_ar_noncasc": ("pdgd", dbgd.PROBABILISTIC, clicks.ALMOST_RANDOM_NONCASCADING, 55),
+        "dbgd_prob_ar_casc": ("dbgd", dbgd.PROBABILISTIC, clicks.ALMOST_RANDOM_CASCADING, 66),
+    }
+)
+
+
+def arm_config(name: str, **fields) -> ExperimentConfig:
+    """The config of the arm ``name`` of :data:`PAPER_ARMS`.
+
+    ``fields`` sets any other config field.  The dataset defaults to
+    ``BUNDLED_SYNTHETIC`` (pass ``synthetic=None`` with dataset paths) and
+    ``base_seed`` to the arm's.
+    """
+    algorithm, comparator, click_model, base_seed = PAPER_ARMS[name]
+    fields.setdefault("synthetic", BUNDLED_SYNTHETIC)
+    fields.setdefault("base_seed", base_seed)
+    return ExperimentConfig(algorithm=algorithm, comparator=comparator, click_model=click_model, **fields)
+
+
 @dataclass
 class RunResult:
     run_id: int
@@ -249,6 +281,14 @@ def run_with_dataset(config: ExperimentConfig, run_index: int, data: datasets.Da
     config.validate()
     if not data.train or not data.test:
         raise ValueError("experiment dataset needs non-empty train and test splits")
+    if config.algorithm == "dbgd" and config.comparator == dbgd.PROBABILISTIC:
+        # A mass 1 / rank**tau that underflows to 0 leaves the interleaving credit 0 / 0.
+        longest = max(q.n_docs for q in data.train)
+        if float(longest) ** -config.tau == 0.0:
+            raise ValueError(
+                f"tau {config.tau!r} is too large for a train query of {longest} documents: "
+                f"1 / {longest}**tau underflows to 0"
+            )
     seed_value, seed_seq = _run_seed(config, run_index)
     rng = np.random.default_rng(seed_seq)
     eta = config.resolved_learning_rate()
@@ -346,7 +386,9 @@ def run_experiment(
     count) changes only wall-clock time, never results.
     """
     config.validate()
-    load_baseline(config)  # refuse an incomparable baseline before the runs, not after
+    # Read once, before the runs: an incomparable baseline is refused before
+    # any run, and one rewritten or removed meanwhile loses no finished run.
+    baseline = load_baseline(config)
     n_workers = resolve_workers(workers)
     indices = list(range(config.repeats))
     data = load_config_dataset(config)
@@ -362,7 +404,7 @@ def run_experiment(
         ) as pool:
             results = list(pool.map(_pool_run, indices))
     results.sort(key=lambda r: r.run_id)
-    summary = summarize(config, results)
+    summary = summarize(config, results, baseline)
     return results, summary
 
 
@@ -418,8 +460,12 @@ def load_baseline(config: ExperimentConfig) -> dict | None:
     return baseline
 
 
-def summarize(config: ExperimentConfig, results: list[RunResult]) -> dict:
-    """Aggregate final NDCG across runs, plus any baseline significance test."""
+def summarize(config: ExperimentConfig, results: list[RunResult], baseline: dict | None = None) -> dict:
+    """Aggregate final NDCG across runs, plus any baseline significance test.
+
+    ``baseline`` is the summary :func:`load_baseline` returned for
+    ``config``; if it is None, the baseline is loaded here.
+    """
     finals = np.array([r.final_ndcg for r in results])
     summary = {
         "config": config.to_dict(),
@@ -432,7 +478,8 @@ def summarize(config: ExperimentConfig, results: list[RunResult]) -> dict:
         "significance_test": "welch_two_sided",
         "checkpoint_schedule": checkpoint_schedule(config.impressions, config.num_checkpoints),
     }
-    baseline = load_baseline(config)
+    if baseline is None:
+        baseline = load_baseline(config)
     if baseline is not None:
         t, p = welch_t_test(finals, np.asarray(baseline["per_run_final"]))
         summary["baseline"] = {

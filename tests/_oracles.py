@@ -216,6 +216,13 @@ def central_difference_gradient(f, x, h=1e-6):
     return grad
 
 
+def synthetic_generating_weights(feature_dim, seed):
+    """The hidden unit weight vector ``make_synthetic`` derives its grades from: its seed's first draw."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=feature_dim)
+    return v / np.linalg.norm(v)
+
+
 def reference_parse_letor(path, feature_dim=None):
     """LETOR/SVMlight parsing one dict per line, as the loader first did.
 

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per shipping criterion, one PASS/FAIL line each.
 
-Criteria 8-10 share a single battery of desk-scale runs (6 configurations x
-25 repeats x 20000 impressions on the bundled benchmark dataset); the
-battery executes once per test session, in parallel worker processes.
+Criteria 8-10 share a single battery of desk-scale runs (the six arms of
+``experiments.PAPER_ARMS`` x 25 repeats x 20000 impressions on the bundled
+benchmark dataset); the battery executes once per test session, in
+parallel worker processes.
 
 Criterion 11 runs only when MSLR-WEB10K paths are supplied via the
 OLTR_MSLR_TRAIN / OLTR_MSLR_TEST environment variables; it needs hours.
@@ -17,7 +18,7 @@ from scipy import stats
 
 from oltrsim.clicks import click_model, simulate_cascading, simulate_noncascading
 from oltrsim.dbgd import ComparisonOutcome, infer_preference_probabilistic, probabilistic_interleave
-from oltrsim.experiments import BUNDLED_SYNTHETIC, ExperimentConfig, run_experiment
+from oltrsim.experiments import PAPER_ARMS, arm_config, run_experiment
 from oltrsim.evaluation import welch_t_test
 from oltrsim.ranking import LinearRanker, rank_deterministic, sample_ranking
 
@@ -223,28 +224,8 @@ def test_criterion_7_interleave_credit_exactness():
     report(7, True, f"marginalized credit matched exact rational enumeration on {cases} cases")
 
 
-def battery_config(name: str, algorithm: str, comparator: str, model: str, seed: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        algorithm=algorithm,
-        comparator=comparator,
-        click_model=model,
-        synthetic=BUNDLED_SYNTHETIC,
-        impressions=BATTERY_IMPRESSIONS,
-        repeats=BATTERY_REPEATS,
-        base_seed=seed,
-        output_dir=f"unused-{name}",
-    )
-
-
 BATTERY = {
-    "pdgd_perfect": battery_config("pdgd_perfect", "pdgd", "probabilistic", "perfect", 11),
-    "dbgd_perfect": battery_config("dbgd_perfect", "dbgd", "probabilistic", "perfect", 22),
-    "dbgd_oracle": battery_config("dbgd_oracle", "dbgd", "oracle", "perfect", 33),
-    "pdgd_ar_casc": battery_config("pdgd_ar_casc", "pdgd", "probabilistic", "almost_random_cascading", 44),
-    "pdgd_ar_noncasc": battery_config(
-        "pdgd_ar_noncasc", "pdgd", "probabilistic", "almost_random_noncascading", 55
-    ),
-    "dbgd_ar_casc": battery_config("dbgd_ar_casc", "dbgd", "probabilistic", "almost_random_cascading", 66),
+    name: arm_config(name, impressions=BATTERY_IMPRESSIONS, repeats=BATTERY_REPEATS) for name in PAPER_ARMS
 }
 
 
@@ -264,12 +245,12 @@ def battery():
 @pytest.mark.slow
 def test_criterion_8_desk_scale_ordering(battery):
     pdgd = battery["pdgd_perfect"]
-    dbgd = battery["dbgd_perfect"]
-    oracle = battery["dbgd_oracle"]
+    dbgd = battery["dbgd_prob_perfect"]
+    oracle = battery["dbgd_oracle_perfect"]
     comparisons = {
-        "pdgd_perfect > dbgd_perfect": (pdgd, dbgd),
-        "dbgd_oracle > dbgd_perfect": (oracle, dbgd),
-        "pdgd_perfect > dbgd_oracle": (pdgd, oracle),
+        "pdgd_perfect > dbgd_prob_perfect": (pdgd, dbgd),
+        "dbgd_oracle_perfect > dbgd_prob_perfect": (oracle, dbgd),
+        "pdgd_perfect > dbgd_oracle_perfect": (pdgd, oracle),
     }
     details = []
     ok = True
@@ -283,7 +264,7 @@ def test_criterion_8_desk_scale_ordering(battery):
 
 @pytest.mark.slow
 def test_criterion_9_noise_hits_dbgd_harder(battery):
-    dbgd_drop = battery["dbgd_perfect"] - battery["dbgd_ar_casc"]
+    dbgd_drop = battery["dbgd_prob_perfect"] - battery["dbgd_prob_ar_casc"]
     pdgd_drop = battery["pdgd_perfect"] - battery["pdgd_ar_casc"]
     t, p = welch_t_test(dbgd_drop, pdgd_drop)
     ok = dbgd_drop.mean() > pdgd_drop.mean() and p < 0.05
@@ -312,24 +293,22 @@ MSLR_TEST = os.environ.get("OLTR_MSLR_TEST")
     reason="set OLTR_MSLR_TRAIN and OLTR_MSLR_TEST to run the full-data check",
 )
 def test_criterion_11_full_data_check():
-    targets = {"dbgd": 0.426, "pdgd": 0.442}
+    targets = {"dbgd_prob_perfect": 0.426, "pdgd_perfect": 0.442}
     details = []
     ok = True
-    for algorithm, target in targets.items():
-        config = ExperimentConfig(
-            algorithm=algorithm,
-            comparator="probabilistic",
-            click_model="perfect",
+    for name, target in targets.items():
+        config = arm_config(
+            name,
+            synthetic=None,
             train_path=MSLR_TRAIN,
             test_path=MSLR_TEST,
             impressions=1_000_000,
             repeats=25,
             base_seed=7,
-            output_dir=f"unused-fulldata-{algorithm}",
         )
         _, summary = run_experiment(config)
         mean = summary["final_ndcg_mean"]
         good = abs(mean - target) <= 0.02
         ok = ok and good
-        details.append(f"{algorithm}: mean={mean:.4f} vs {target:.3f}")
+        details.append(f"{name}: mean={mean:.4f} vs {target:.3f}")
     report(11, ok, "; ".join(details))

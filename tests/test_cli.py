@@ -66,6 +66,17 @@ class TestRun:
         assert capsys.readouterr().err == "error: tau must be positive and finite, got nan\n"
         assert os.listdir(tmp_path) == [config_path.name]
 
+    def test_underflowing_tau_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # 5**-2000 underflows to 0, so most comparisons would be NaN-credit ties.
+        synthetic = {"num_queries": 5, "docs_per_query": 5, "feature_dim": 3, "seed": 3}
+        config_path, _ = write_config(tmp_path, algorithm="dbgd", synthetic=synthetic, tau=2000)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(config_path), "--workers", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: tau 2000 is too large for a train query of 5 documents: 1 / 5**tau underflows to 0\n"
+        )
+        assert os.listdir(tmp_path) == [config_path.name]
+
     @pytest.mark.parametrize("field, value", [("output_dir", 5), ("baseline_dir", [])])
     def test_bad_field_type_fails_before_any_run(self, tmp_path, capsys, monkeypatch, field, value):
         # Refused by validation, before any run starts or any output is written.
@@ -154,6 +165,14 @@ class TestSynth:
         spec_path.write_text(json.dumps(spec))
         assert main(["synth", str(spec_path), str(tmp_path / "data")]) == 1
         assert "hardnes" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    def test_non_finite_hardness_fails(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec = {"num_queries": 4, "docs_per_query": 5, "feature_dim": 3, "seed": 11, "hardness": float("nan")}
+        spec_path.write_text(json.dumps(spec))  # writes NaN, which Python's json reads back
+        assert main(["synth", str(spec_path), str(tmp_path / "data")]) == 1
+        assert capsys.readouterr().err == "error: hardness must be finite, got nan\n"
         assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize(

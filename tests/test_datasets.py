@@ -12,13 +12,13 @@ from oltrsim.datasets import (
     normalize_query_level,
     parse_letor,
     sample_query,
-    synthetic_generating_weights,
     write_letor,
 )
 from oltrsim.evaluation import evaluate_heldout
+from oltrsim.experiments import SyntheticSpec
 from oltrsim.ranking import LinearRanker
 
-from _oracles import reference_parse_letor
+from _oracles import reference_parse_letor, synthetic_generating_weights
 
 
 def write_tmp(tmp_path, text, name="data.txt"):
@@ -259,6 +259,16 @@ class TestMakeSynthetic:
             make_synthetic(0, 5, 2, seed=0)
         with pytest.raises(ValueError):
             make_synthetic(5, 5, 2, seed=0, grade_bins=(0.9, 0.5, 0.2, 0.1))
+
+    @pytest.mark.parametrize("hardness", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_hardness_rejected(self, hardness):
+        # A NaN hardness once graded every query 0-4 in file order, unrelated to its features.
+        with pytest.raises(ValueError, match=f"^hardness must be finite, got {hardness!r}$"):
+            make_synthetic(5, 5, 3, 3, hardness=hardness)
+        fields = {"num_queries": 5, "docs_per_query": 5, "feature_dim": 3, "seed": 3, "hardness": hardness}
+        spec = SyntheticSpec.from_dict(fields)
+        with pytest.raises(ValueError, match="^hardness must be finite"):
+            spec.make()
 
 
 class TestLoadDataset:

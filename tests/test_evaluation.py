@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oltrsim.datasets import make_synthetic, synthetic_generating_weights
+from oltrsim.datasets import make_synthetic
 from oltrsim.evaluation import MetricTrace, evaluate_heldout, ndcg_at_k, welch_t_test
 from oltrsim.ranking import LinearRanker, zero_ranker
 
-from _oracles import ndcg_direct, student_t_two_sided_p
+from _oracles import ndcg_direct, student_t_two_sided_p, synthetic_generating_weights
 
 
 class TestNdcg:

@@ -1,7 +1,10 @@
 import csv
+import importlib.util
 import json
 import os
 import re
+import sys
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
 
@@ -13,9 +16,11 @@ from oltrsim.datasets import make_synthetic, write_letor
 from oltrsim.evaluation import evaluate_heldout
 from oltrsim.experiments import (
     BUNDLED_SYNTHETIC,
+    PAPER_ARMS,
     ExperimentConfig,
     RunResult,
     SyntheticSpec,
+    arm_config,
     checkpoint_schedule,
     emit_outputs,
     load_baseline,
@@ -29,7 +34,8 @@ from oltrsim.experiments import (
 from oltrsim.ranking import zero_ranker
 
 TINY_SYNTH = SyntheticSpec(num_queries=6, docs_per_query=8, feature_dim=3, seed=5)
-CONFIGS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+REPO_DIR = os.path.join(os.path.dirname(__file__), os.pardir)
+CONFIGS_DIR = os.path.join(REPO_DIR, "configs")
 SHIPPED_CONFIGS = sorted(name for name in os.listdir(CONFIGS_DIR) if name.endswith(".json"))
 
 
@@ -188,6 +194,37 @@ class TestShippedConfigs:
         assert config.synthetic == BUNDLED_SYNTHETIC
 
 
+class TestPaperArms:
+    def test_builder_sets_the_arm_and_passes_fields_through(self):
+        config = arm_config("dbgd_oracle_perfect", impressions=300, repeats=3)
+        arm = (config.algorithm, config.comparator, config.click_model, config.base_seed)
+        assert arm == PAPER_ARMS["dbgd_oracle_perfect"]
+        assert (config.synthetic, config.impressions, config.repeats) == (BUNDLED_SYNTHETIC, 300, 3)
+        config.validate()
+        assert arm_config("dbgd_oracle_perfect", base_seed=7).base_seed == 7
+
+    @pytest.mark.parametrize(
+        "file, name", [("pdgd_perfect.json", "pdgd_perfect"), ("dbgd_perfect.json", "dbgd_prob_perfect")]
+    )
+    def test_shipped_configs_are_the_tables_arms(self, file, name):
+        shipped = ExperimentConfig.from_json_file(os.path.join(CONFIGS_DIR, file))
+        assert shipped.config_hash() == arm_config(name, impressions=20_000, repeats=25).config_hash()
+
+    def test_benchmark_arms_agree_with_the_table(self, monkeypatch):
+        # bench/ keeps its own copy of the arms; read it without writing bytecode next to it.
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        path = os.path.join(REPO_DIR, "bench", "workloads.py")
+        spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+        spec.loader.exec_module(workloads)
+        bench_arms = {arm.name: arm for workload in workloads.WORKLOADS.values() for arm in workload.arms}
+        assert set(PAPER_ARMS) <= set(bench_arms)
+        for name, arm in PAPER_ARMS.items():
+            bench = bench_arms[name]
+            assert (bench.algorithm, bench.comparator, bench.click_model, bench.battery_seed) == arm, name
+
+
 def run_one(config: ExperimentConfig, run_index: int):
     return run_with_dataset(config, run_index, load_config_dataset(config))
 
@@ -228,6 +265,27 @@ class TestRunSingle:
             result = run_one(config, 0)
             assert result.trace.impressions[-1] == 10
 
+    def test_underflowing_tau_refused_before_any_impression(self, monkeypatch):
+        _, hi = underflow_edge(TINY_SYNTH.docs_per_query)
+        drawn = []
+        monkeypatch.setattr(experiments.datasets, "sample_query", lambda *args: drawn.append(args))
+        message = f"^tau {hi!r} is too large for a train query of 8 documents: 1 / 8\\*\\*tau underflows to 0$"
+        with pytest.raises(ValueError, match=message):
+            run_one(tiny_config(algorithm="dbgd", tau=hi), 0)
+        assert drawn == []
+
+    def test_tau_just_below_the_underflow_runs_cleanly(self):
+        lo, _ = underflow_edge(TINY_SYNTH.docs_per_query)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_one(tiny_config(algorithm="dbgd", tau=lo, impressions=300), 0)
+        assert np.all(np.isfinite(result.trace.ndcg))
+
+    def test_underflowing_tau_only_matters_to_probabilistic_dbgd(self):
+        _, hi = underflow_edge(TINY_SYNTH.docs_per_query)
+        for algorithm, comparator in (("pdgd", "probabilistic"), ("dbgd", "team_draft"), ("dbgd", "oracle")):
+            run_one(tiny_config(algorithm=algorithm, comparator=comparator, tau=hi, impressions=5), 0)
+
     @pytest.mark.slow
     def test_pdgd_beats_zero_ranker_baseline(self):
         config = ExperimentConfig(
@@ -243,6 +301,14 @@ class TestRunSingle:
         baseline = evaluate_heldout(zero_ranker(data.feature_dim), data.test)
         result = run_one(config, 0)
         assert result.final_ndcg - baseline >= 0.15
+
+
+def underflow_edge(n_docs: int) -> tuple[float, float]:
+    """Adjacent ``tau`` values around where ``float(n_docs) ** -tau`` first underflows to 0."""
+    lo, hi = 1.0, 1e4
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if float(n_docs) ** -mid > 0.0 else (lo, mid)
+    return lo, hi
 
 
 def spy_on_runs(monkeypatch) -> list:
@@ -334,6 +400,24 @@ class TestRunExperiment:
         _, summary = run_experiment(config, workers=1)
         assert "baseline" in summary
         assert 0.0 <= summary["baseline"]["p_value"] <= 1.0
+
+    def test_baseline_read_once_before_the_runs(self, tmp_path, monkeypatch):
+        base_config = tiny_config(output_dir=str(tmp_path / "base"))
+        base_results, base_summary = run_experiment(base_config, workers=1)
+        emit_outputs(base_results, base_summary, base_config.output_dir)
+        run = experiments.run_with_dataset
+
+        def remove_baseline_then_run(config, run_index, data):
+            summary_path = os.path.join(base_config.output_dir, "summary.json")
+            if os.path.exists(summary_path):
+                os.remove(summary_path)
+            return run(config, run_index, data)
+
+        monkeypatch.setattr(experiments, "run_with_dataset", remove_baseline_then_run)
+        config = tiny_config(base_seed=99, baseline_dir=base_config.output_dir)
+        _, summary = run_experiment(config, workers=1)
+        assert not os.path.exists(os.path.join(base_config.output_dir, "summary.json"))
+        assert summary["baseline"]["mean"] == base_summary["final_ndcg_mean"]
 
     def test_baseline_with_another_horizon_rejected(self, tmp_path):
         base_config = tiny_config(repeats=3, output_dir=str(tmp_path / "base"))
