@@ -13,7 +13,6 @@ Set ``OLTR_WORKERS`` to override the number of worker processes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -25,6 +24,7 @@ from .experiments import (
     ExperimentConfig,
     SyntheticSpec,
     emit_outputs,
+    read_json,
     read_summary,
     read_trace_csv,
     run_experiment,
@@ -73,8 +73,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = SyntheticSpec.from_dict(json.load(fh))
+    spec = SyntheticSpec.from_dict(read_json(args.spec))
     data = spec.make()
     os.makedirs(args.out_dir, exist_ok=True)
     train_path = os.path.join(args.out_dir, "train.txt")

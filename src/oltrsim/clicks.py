@@ -10,8 +10,9 @@ Three behavior models are supported:
   with probability ``1/rank``, so a click does not imply the documents
   above it were observed.
 
-``CLICK_MODELS`` holds the three as fixed ``ClickModelSpec`` entries, and
-``click_model(name)`` looks one up.
+``CLICK_MODELS`` is the one table of the three (click probabilities, stop
+rule and observation rule); ``click_model(name)`` looks one up, and
+``simulate`` draws the clicks of any of them.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ PERFECT = "perfect"
 ALMOST_RANDOM_CASCADING = "almost_random_cascading"
 ALMOST_RANDOM_NONCASCADING = "almost_random_noncascading"
 
-MODEL_NAMES = (PERFECT, ALMOST_RANDOM_CASCADING, ALMOST_RANDOM_NONCASCADING)
-
 # P(click | grade, observed) for grades 0..4.
 PERFECT_CLICK_PROBS = (0.00, 0.20, 0.40, 0.80, 1.00)
 ALMOST_RANDOM_CLICK_PROBS = (0.40, 0.45, 0.50, 0.55, 0.60)
@@ -33,15 +32,13 @@ ALMOST_RANDOM_CLICK_PROBS = (0.40, 0.45, 0.50, 0.55, 0.60)
 
 @dataclass(frozen=True)
 class ClickModelSpec:
-    """Behavior model: per-grade click probabilities plus the stop rule."""
+    """Behavior model: per-grade click probabilities, stop rule, observation rule."""
 
     name: str
     click_probs: tuple[float, ...]
     stop_prob_after_click: float = 0.0
-
-    @property
-    def cascading(self) -> bool:
-        return self.name != ALMOST_RANDOM_NONCASCADING
+    # False: rank r is observed with probability 1/r, independent of clicks.
+    cascading: bool = True
 
 
 CLICK_MODELS = {
@@ -50,8 +47,12 @@ CLICK_MODELS = {
     ALMOST_RANDOM_CASCADING: ClickModelSpec(
         ALMOST_RANDOM_CASCADING, ALMOST_RANDOM_CLICK_PROBS, stop_prob_after_click=0.5
     ),
-    ALMOST_RANDOM_NONCASCADING: ClickModelSpec(ALMOST_RANDOM_NONCASCADING, ALMOST_RANDOM_CLICK_PROBS),
+    ALMOST_RANDOM_NONCASCADING: ClickModelSpec(
+        ALMOST_RANDOM_NONCASCADING, ALMOST_RANDOM_CLICK_PROBS, cascading=False
+    ),
 }
+
+MODEL_NAMES = tuple(CLICK_MODELS)
 
 
 def click_model(name: str) -> ClickModelSpec:
@@ -76,53 +77,33 @@ class Interaction:
             raise ValueError("clicks must align with the displayed ranking")
 
 
-def _check_args(ranking, grades, spec, allowed_names):
+def simulate(ranking, grades, spec: ClickModelSpec, rng: np.random.Generator) -> Interaction:
+    """Draw the clicks of ``spec``'s user on a displayed ranking.
+
+    ``grades`` are the grades of the displayed documents, position-aligned
+    with ``ranking``.  A cascading scan leaves positions after a realized
+    stop unobserved and therefore unclicked.
+    """
     ranking = np.asarray(ranking)
     grades = np.asarray(grades, dtype=np.int64)
     if grades.shape != ranking.shape:
         raise ValueError("grades must align with the displayed ranking")
-    if spec.name not in allowed_names:
-        raise ValueError(f"click model {spec.name!r} not valid here, expected one of {allowed_names}")
     if grades.size and (grades.min() < 0 or grades.max() > 4):
         raise ValueError("grade outside [0, 4]")
-    return ranking, grades
-
-
-def simulate_cascading(ranking, grades, spec: ClickModelSpec, rng: np.random.Generator) -> Interaction:
-    """Top-down scan: click by grade, then maybe stop scanning.
-
-    ``grades`` are the grades of the displayed documents, position-aligned
-    with ``ranking``.  Positions after a realized stop are unobserved and
-    therefore unclicked.
-    """
-    ranking, grades = _check_args(ranking, grades, spec, (PERFECT, ALMOST_RANDOM_CASCADING))
-    if spec.stop_prob_after_click == 0:
+    m = len(ranking)
+    click_probs = np.asarray(spec.click_probs)[grades]
+    if not spec.cascading:
+        observed = rng.random(m) < 1.0 / np.arange(1, m + 1)
+        clicks = observed & (rng.random(m) < click_probs)
+    elif spec.stop_prob_after_click == 0:
         # Nothing stops the scan, so the loop below would draw exactly one
         # number per position: draw them in one call from the same stream.
-        clicks = rng.random(len(ranking)) < np.asarray(spec.click_probs)[grades]
-        return Interaction(ranking=ranking, clicks=clicks)
-    probs = spec.click_probs
-    clicks = np.zeros(len(ranking), dtype=bool)
-    for pos, grade in enumerate(grades):
-        if rng.random() < probs[grade]:
-            clicks[pos] = True
-            if rng.random() < spec.stop_prob_after_click:
-                break
+        clicks = rng.random(m) < click_probs
+    else:
+        clicks = np.zeros(m, dtype=bool)
+        for pos, prob in enumerate(click_probs.tolist()):
+            if rng.random() < prob:
+                clicks[pos] = True
+                if rng.random() < spec.stop_prob_after_click:
+                    break
     return Interaction(ranking=ranking, clicks=clicks)
-
-
-def simulate_noncascading(ranking, grades, spec: ClickModelSpec, rng: np.random.Generator) -> Interaction:
-    """Independent observation per position with probability ``1/rank``."""
-    ranking, grades = _check_args(ranking, grades, spec, (ALMOST_RANDOM_NONCASCADING,))
-    m = len(ranking)
-    observed = rng.random(m) < 1.0 / np.arange(1, m + 1)
-    click_probs = np.asarray(spec.click_probs)[grades]
-    clicks = observed & (rng.random(m) < click_probs)
-    return Interaction(ranking=ranking, clicks=clicks)
-
-
-def simulate(ranking, grades, spec: ClickModelSpec, rng: np.random.Generator) -> Interaction:
-    """Dispatch to the cascading or non-cascading simulator by model name."""
-    if spec.cascading:
-        return simulate_cascading(ranking, grades, spec, rng)
-    return simulate_noncascading(ranking, grades, spec, rng)

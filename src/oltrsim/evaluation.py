@@ -29,8 +29,10 @@ class MetricTrace:
             raise ValueError("impressions and ndcg must be 1-D and aligned")
         if self.impressions.size and np.any(np.diff(self.impressions) <= 0):
             raise ValueError("impression counts must be strictly increasing")
-        if self.ndcg.size and (self.ndcg.min() < 0.0 or self.ndcg.max() > 1.0):
-            raise ValueError("ndcg values must lie in [0, 1]")
+        # Written so that NaN, which fails every comparison, is refused too.
+        outside = self.ndcg[~((self.ndcg >= 0.0) & (self.ndcg <= 1.0))]
+        if outside.size:
+            raise ValueError(f"ndcg values must lie in [0, 1], got {float(outside[0])!r}")
 
     def checkpoints(self) -> list[tuple[int, float]]:
         return [(int(i), float(v)) for i, v in zip(self.impressions, self.ndcg)]

@@ -62,6 +62,15 @@ def _check_field_types(owner: str, values: dict, kinds: dict) -> None:
             raise ValueError(f"{owner} field {name} must be {described}, got {values[name]!r}")
 
 
+def read_json(path: str | os.PathLike):
+    """The JSON value in the file at ``path``; a malformed file raises ``ValueError`` naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def _is_number_list(value) -> bool:
     return isinstance(value, (list, tuple)) and all(_is_of(v, _NUMBER[0]) for v in value)
 
@@ -152,9 +161,9 @@ class ExperimentConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.comparator not in dbgd.COMPARATORS:
-            raise ValueError(f"comparator must be one of {dbgd.COMPARATORS}")
+            raise ValueError(f"comparator must be one of {dbgd.COMPARATORS}, got {self.comparator!r}")
         if self.click_model not in clicks.MODEL_NAMES:
-            raise ValueError(f"click_model must be one of {clicks.MODEL_NAMES}")
+            raise ValueError(f"click_model must be one of {clicks.MODEL_NAMES}, got {self.click_model!r}")
         has_files = self.train_path is not None or self.test_path is not None
         if self.synthetic is None and not (self.train_path and self.test_path):
             raise ValueError("config needs either a synthetic spec or train/test paths")
@@ -197,8 +206,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path: str | os.PathLike) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
     def config_hash(self) -> str:
         """Short digest of every field that influences run results."""
@@ -416,8 +424,7 @@ def read_summary(directory: str | os.PathLike) -> dict:
     ``per_run_final`` lists at least 2 finite numbers.
     """
     path = os.path.join(directory, "summary.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
+    summary = read_json(path)
     _check_object(path, summary)
     _check_object(f"{path}: config", summary.get("config"))
     finals = summary.get("per_run_final")
@@ -585,20 +592,33 @@ def write_curve_svg(impressions: np.ndarray, curves: np.ndarray, path: str | os.
 
 
 def read_trace_csv(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Read a trace.csv back into (impressions, per-run curve matrix, run ids)."""
+    """Read a trace.csv back into (impressions, per-run curve matrix, run ids).
+
+    Each run's curve is rebuilt as a ``MetricTrace``, so it gets the checks a
+    run's trace gets.  Raises ``ValueError`` naming the file, and the line
+    for a missing column or a value that is not a number.
+    """
     per_run: dict[int, list[tuple[int, float]]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
+        for column in ("run_id", "impressions", "ndcg10"):
+            if reader.fieldnames and column not in reader.fieldnames:
+                raise ValueError(f"{path}, line 1: no {column} column")
         for row in reader:
-            per_run.setdefault(int(row["run_id"]), []).append(
-                (int(row["impressions"]), float(row["ndcg10"]))
-            )
+            try:
+                run_id, impressions, value = int(row["run_id"]), int(row["impressions"]), float(row["ndcg10"])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+            per_run.setdefault(run_id, []).append((impressions, value))
     if not per_run:
         raise ValueError(f"{path}: no trace rows")
     run_ids = sorted(per_run)
-    schedules = [tuple(i for i, _ in per_run[r]) for r in run_ids]
-    if len(set(schedules)) != 1:
+    traces = []
+    for run_id in run_ids:
+        try:
+            traces.append(MetricTrace(*zip(*per_run[run_id])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: run {run_id}: {exc}") from None
+    if any(not np.array_equal(trace.impressions, traces[0].impressions) for trace in traces):
         raise ValueError(f"{path}: runs disagree on the checkpoint schedule")
-    impressions = np.array(schedules[0], dtype=np.int64)
-    curves = np.array([[v for _, v in per_run[r]] for r in run_ids])
-    return impressions, curves, run_ids
+    return traces[0].impressions, np.array([trace.ndcg for trace in traces]), run_ids

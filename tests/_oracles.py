@@ -131,6 +131,55 @@ def noncascading_click_position_probs(grades, click_probs):
     return [click_probs[g] / (r + 1.0) for r, g in enumerate(grades)]
 
 
+def _reference_check_click_args(ranking, grades, spec, allowed_names):
+    ranking = np.asarray(ranking)
+    grades = np.asarray(grades, dtype=np.int64)
+    if grades.shape != ranking.shape:
+        raise ValueError("grades must align with the displayed ranking")
+    if spec.name not in allowed_names:
+        raise ValueError(f"click model {spec.name!r} not valid here, expected one of {allowed_names}")
+    if grades.size and (grades.min() < 0 or grades.max() > 4):
+        raise ValueError("grade outside [0, 4]")
+    return ranking, grades
+
+
+def reference_simulate_cascading(ranking, grades, spec, rng):
+    """Cascading clicks as first written: one-call draw when nothing stops, else a stop loop."""
+    ranking, grades = _reference_check_click_args(
+        ranking, grades, spec, ("perfect", "almost_random_cascading")
+    )
+    if spec.stop_prob_after_click == 0:
+        return rng.random(len(ranking)) < np.asarray(spec.click_probs)[grades]
+    probs = spec.click_probs
+    clicks = np.zeros(len(ranking), dtype=bool)
+    for pos, grade in enumerate(grades):
+        if rng.random() < probs[grade]:
+            clicks[pos] = True
+            if rng.random() < spec.stop_prob_after_click:
+                break
+    return clicks
+
+
+def reference_simulate_noncascading(ranking, grades, spec, rng):
+    """Non-cascading clicks as first written: observe rank r with probability 1/r."""
+    ranking, grades = _reference_check_click_args(ranking, grades, spec, ("almost_random_noncascading",))
+    m = len(ranking)
+    observed = rng.random(m) < 1.0 / np.arange(1, m + 1)
+    click_probs = np.asarray(spec.click_probs)[grades]
+    return observed & (rng.random(m) < click_probs)
+
+
+def reference_simulate(ranking, grades, spec, rng):
+    """Click vector of the two simulators above, chosen by the model's name.
+
+    Returns the clicks only; the package's ``simulate`` must draw the same
+    clicks and leave ``rng`` in the same state.
+    """
+    if spec.name == "almost_random_noncascading":
+        return reference_simulate_noncascading(ranking, grades, spec, rng)
+    return reference_simulate_cascading(ranking, grades, spec, rng)
+
+
 def _betacf(a, b, x, max_iter=300, eps=3e-14):
     """Continued fraction for the regularized incomplete beta function."""
     qab = a + b

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oltrsim.clicks import click_model, simulate_cascading, simulate_noncascading
+from oltrsim.clicks import click_model, simulate
 from oltrsim.dbgd import ComparisonOutcome, infer_preference_probabilistic, probabilistic_interleave
 from oltrsim.experiments import PAPER_ARMS, arm_config, run_experiment
 from oltrsim.evaluation import welch_t_test
@@ -162,7 +162,7 @@ def test_criterion_6_click_model_fidelity():
     spec = click_model("perfect")
     counts = np.zeros(5)
     for _ in range(draws):
-        counts += simulate_cascading(np.arange(5), [0, 1, 2, 3, 4], spec, rng).clicks
+        counts += simulate(np.arange(5), [0, 1, 2, 3, 4], spec, rng).clicks
     for grade, expected in enumerate(spec.click_probs):
         gaps.append(abs(counts[grade] / draws - expected))
 
@@ -172,7 +172,7 @@ def test_criterion_6_click_model_fidelity():
     for grade, expected in enumerate(spec.click_probs):
         clicks = 0
         for _ in range(draws):
-            clicks += simulate_noncascading(np.arange(1), [grade], spec, rng).clicks[0]
+            clicks += simulate(np.arange(1), [grade], spec, rng).clicks[0]
         gaps.append(abs(clicks / draws - expected))
 
     # Cascading observation: position 2 is reached with probability
@@ -180,14 +180,14 @@ def test_criterion_6_click_model_fidelity():
     spec = click_model("almost_random_cascading")
     clicks_pos2 = 0
     for _ in range(draws):
-        clicks_pos2 += simulate_cascading(np.arange(3), [2, 2, 2], spec, rng).clicks[1]
+        clicks_pos2 += simulate(np.arange(3), [2, 2, 2], spec, rng).clicks[1]
     gaps.append(abs(clicks_pos2 / draws / 0.5 - 0.75))
 
     # Non-cascading observation: click rate at rank r must be 0.6 / r.
     spec = click_model("almost_random_noncascading")
     counts = np.zeros(4)
     for _ in range(draws):
-        counts += simulate_noncascading(np.arange(4), [4, 4, 4, 4], spec, rng).clicks
+        counts += simulate(np.arange(4), [4, 4, 4, 4], spec, rng).clicks
     for r in range(4):
         rate = counts[r] / draws
         gaps.append(abs(rate - 0.6 / (r + 1)))

@@ -53,6 +53,12 @@ class TestRun:
         assert main(["run", str(config_path)]) == 1
         assert "error: OLTR_WORKERS must be an integer >= 1, got 'abc'" in capsys.readouterr().err
 
+    def test_malformed_json_names_the_file(self, tmp_path, capsys):
+        config_path, _ = write_config(tmp_path)
+        config_path.write_text(config_path.read_text()[:21])
+        assert main(["run", str(config_path), "--workers", "1"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {config_path}: Expecting ")
+
     def test_invalid_config_fails(self, tmp_path, capsys):
         config_path, _ = write_config(tmp_path, impressions=0)
         assert main(["run", str(config_path)]) == 1
@@ -87,6 +93,9 @@ class TestRun:
         assert os.listdir(tmp_path) == [config_path.name]
 
 
+TRACE_HEADER = "run_id,seed,impressions,ndcg10\n"
+
+
 class TestPlot:
     def test_plot_rebuilds_curve(self, tmp_path):
         config_path, config = write_config(tmp_path)
@@ -98,6 +107,24 @@ class TestPlot:
 
     def test_plot_without_trace_fails(self, tmp_path):
         assert main(["plot", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("seed,impressions,ndcg10\n1,0,0.1\n", ", line 1: no run_id column"),
+            (TRACE_HEADER + "0,1,0,0.1\n0,1,5,abc\n", ", line 3: could not convert string to float: 'abc'"),
+            (TRACE_HEADER + "0,1,0,0.1\n0,1,5,nan\n", ": run 0: ndcg values must lie in [0, 1], got nan"),
+            (TRACE_HEADER + "0,1,0,0.1\n0,1,5,7\n", ": run 0: ndcg values must lie in [0, 1], got 7.0"),
+            (TRACE_HEADER + "0,1,0,0.1\n0,1,0,0.2\n", ": run 0: impression counts must be strictly increasing"),
+        ],
+        ids=["no run_id column", "not a number", "nan", "above 1", "repeated checkpoint"],
+    )
+    def test_bad_trace_refused(self, tmp_path, capsys, text, problem):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(text)
+        assert main(["plot", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {trace}{problem}\n"
+        assert not (tmp_path / "curve.svg").exists()
 
 
 class TestCompare:
@@ -116,6 +143,15 @@ class TestCompare:
 
     def test_compare_missing_dir_fails(self, tmp_path):
         assert main(["compare", str(tmp_path / "none_a"), str(tmp_path / "none_b")]) == 1
+
+    def test_compare_names_the_malformed_file(self, tmp_path, capsys):
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+        (tmp_path / "a" / "summary.json").write_text(json.dumps({"config": {}, "per_run_final": [0.1, 0.2]}))
+        (tmp_path / "b" / "summary.json").write_text('{"config": {}, "per_run_final": [0.1, ')
+        assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+        bad = os.path.join(str(tmp_path / "b"), "summary.json")
+        assert capsys.readouterr().err.startswith(f"error: {bad}: Expecting value")
 
     @pytest.mark.parametrize(
         "body, field",
@@ -184,6 +220,13 @@ class TestSynth:
         spec_path.write_text(json.dumps(spec))
         assert main(["synth", str(spec_path), str(tmp_path / "data")]) == 1
         assert f"error: synthetic spec field {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    def test_malformed_json_names_the_file(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"num_queries": 4, ')
+        assert main(["synth", str(spec_path), str(tmp_path / "data")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {spec_path}: Expecting property name")
         assert not (tmp_path / "data").exists()
 
     def test_bad_spec_fails(self, tmp_path, capsys):

@@ -4,15 +4,15 @@ import pytest
 from oltrsim.clicks import (
     ALMOST_RANDOM_CASCADING,
     ALMOST_RANDOM_NONCASCADING,
+    CLICK_MODELS,
+    MODEL_NAMES,
     PERFECT,
     Interaction,
     click_model,
     simulate,
-    simulate_cascading,
-    simulate_noncascading,
 )
 
-from _oracles import cascade_click_position_probs, noncascading_click_position_probs
+from _oracles import cascade_click_position_probs, noncascading_click_position_probs, reference_simulate
 
 
 class TestClickProbability:
@@ -32,24 +32,29 @@ class TestClickProbability:
         assert click_model(PERFECT).stop_prob_after_click == 0.0
         assert click_model(ALMOST_RANDOM_CASCADING).stop_prob_after_click == 0.5
 
+    def test_observation_rule_is_table_data(self):
+        cascading = {name: spec.cascading for name, spec in CLICK_MODELS.items()}
+        assert cascading == {PERFECT: True, ALMOST_RANDOM_CASCADING: True, ALMOST_RANDOM_NONCASCADING: False}
+        assert MODEL_NAMES == tuple(CLICK_MODELS)
+
 
 class TestCascading:
     def test_perfect_always_clicks_top_relevant(self, rng):
         spec = click_model(PERFECT)
         for _ in range(200):
-            out = simulate_cascading(np.arange(3), [4, 0, 0], spec, rng)
+            out = simulate(np.arange(3), [4, 0, 0], spec, rng)
             assert out.clicks.tolist() == [True, False, False]
 
     def test_perfect_never_clicks_irrelevant(self, rng):
         spec = click_model(PERFECT)
         for _ in range(200):
-            out = simulate_cascading(np.arange(2), [0, 0], spec, rng)
+            out = simulate(np.arange(2), [0, 0], spec, rng)
             assert not out.clicks.any()
 
     def test_perfect_observes_whole_list(self, rng):
         # Grade-4 everywhere: every displayed position must be clicked.
         spec = click_model(PERFECT)
-        out = simulate_cascading(np.arange(10), [4] * 10, spec, rng)
+        out = simulate(np.arange(10), [4] * 10, spec, rng)
         assert out.clicks.all()
 
     def test_position_two_observation_rate(self):
@@ -61,7 +66,7 @@ class TestCascading:
         draws = 100000
         clicks_pos2 = 0
         for _ in range(draws):
-            out = simulate_cascading(np.arange(3), [2, 2, 2], spec, rng)
+            out = simulate(np.arange(3), [2, 2, 2], spec, rng)
             clicks_pos2 += out.clicks[1]
         observed_rate = clicks_pos2 / draws / 0.5
         assert abs(observed_rate - 0.75) < 0.01
@@ -74,7 +79,7 @@ class TestCascading:
         draws = 100000
         counts = np.zeros(len(grades))
         for _ in range(draws):
-            counts += simulate_cascading(np.arange(4), grades, spec, rng).clicks
+            counts += simulate(np.arange(4), grades, spec, rng).clicks
         assert np.all(np.abs(counts / draws - exact) < 0.01)
 
     def test_perfect_matches_enumeration_oracle(self):
@@ -85,16 +90,12 @@ class TestCascading:
         draws = 100000
         counts = np.zeros(len(grades))
         for _ in range(draws):
-            counts += simulate_cascading(np.arange(4), grades, spec, rng).clicks
+            counts += simulate(np.arange(4), grades, spec, rng).clicks
         assert np.all(np.abs(counts / draws - exact) < 0.01)
-
-    def test_wrong_model_rejected(self, rng):
-        with pytest.raises(ValueError):
-            simulate_cascading(np.arange(2), [1, 1], click_model(ALMOST_RANDOM_NONCASCADING), rng)
 
     def test_length_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
-            simulate_cascading(np.arange(3), [1, 1], click_model(PERFECT), rng)
+            simulate(np.arange(3), [1, 1], click_model(PERFECT), rng)
 
     def test_perfect_draws_the_same_stream_as_the_per_position_loop(self):
         # The perfect model never stops, so its one-call draw must give the
@@ -107,7 +108,7 @@ class TestCascading:
             grades = grade_rng.integers(0, 5, size=m)
             rng = np.random.default_rng(seed)
             looped = np.random.default_rng(seed)
-            out = simulate_cascading(np.arange(m), grades, spec, rng)
+            out = simulate(np.arange(m), grades, spec, rng)
             expected = [looped.random() < spec.click_probs[g] for g in grades]
             assert out.clicks.tolist() == expected
             assert rng.bit_generator.state == looped.bit_generator.state
@@ -119,7 +120,7 @@ class TestNonCascading:
         spec = click_model(ALMOST_RANDOM_NONCASCADING)
         rng = np.random.default_rng(31)
         draws = 100000
-        clicks = sum(simulate_noncascading(np.arange(1), [4], spec, rng).clicks[0] for _ in range(draws))
+        clicks = sum(simulate(np.arange(1), [4], spec, rng).clicks[0] for _ in range(draws))
         assert abs(clicks / draws - 0.60) < 0.01
 
     def test_rank_four_observation_rate(self):
@@ -129,7 +130,7 @@ class TestNonCascading:
         draws = 100000
         clicks = 0
         for _ in range(draws):
-            clicks += simulate_noncascading(np.arange(4), [0, 0, 0, 4], spec, rng).clicks[3]
+            clicks += simulate(np.arange(4), [0, 0, 0, 4], spec, rng).clicks[3]
         click_rate = clicks / draws
         assert abs(click_rate - 0.25 * 0.60) < 0.01
         assert abs(click_rate / 0.60 - 0.25) < 0.01
@@ -140,7 +141,7 @@ class TestNonCascading:
         draws = 100000
         clicks = 0
         for _ in range(draws):
-            clicks += simulate_noncascading(np.arange(2), [0, 4], spec, rng).clicks[1]
+            clicks += simulate(np.arange(2), [0, 4], spec, rng).clicks[1]
         assert abs(clicks / draws - 0.30) < 0.01
 
     def test_matches_analytic_rates(self):
@@ -151,7 +152,7 @@ class TestNonCascading:
         draws = 100000
         counts = np.zeros(len(grades))
         for _ in range(draws):
-            counts += simulate_noncascading(np.arange(4), grades, spec, rng).clicks
+            counts += simulate(np.arange(4), grades, spec, rng).clicks
         assert np.all(np.abs(counts / draws - exact) < 0.01)
 
     def test_nonadjacent_clicks_possible(self):
@@ -159,15 +160,11 @@ class TestNonCascading:
         rng = np.random.default_rng(35)
         seen_gap = False
         for _ in range(2000):
-            out = simulate_noncascading(np.arange(3), [4, 4, 4], spec, rng)
+            out = simulate(np.arange(3), [4, 4, 4], spec, rng)
             if out.clicks[0] and not out.clicks[1] and out.clicks[2]:
                 seen_gap = True
                 break
         assert seen_gap
-
-    def test_wrong_model_rejected(self, rng):
-        with pytest.raises(ValueError):
-            simulate_noncascading(np.arange(2), [1, 1], click_model(PERFECT), rng)
 
 
 class TestDispatch:
@@ -177,6 +174,20 @@ class TestDispatch:
             out = simulate(displayed, [4, 2, 0], click_model(name), rng)
             assert isinstance(out, Interaction)
             assert out.clicks.shape == (3,)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_draws_what_the_two_simulators_it_replaced_drew(self, name):
+        # The reference picks the cascading or non-cascading simulator by the
+        # model's name; simulate reads the table.  Same clicks, same state.
+        spec = click_model(name)
+        case_rng = np.random.default_rng([120, MODEL_NAMES.index(name)])
+        for seed in range(1500):
+            m = int(case_rng.integers(0, 26))
+            grades = case_rng.integers(0, 5, size=m)
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = simulate(np.arange(m), grades, spec, rng)
+            assert out.clicks.tolist() == reference_simulate(np.arange(m), grades, spec, reference).tolist()
+            assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_interaction_validation(self):
         with pytest.raises(ValueError):

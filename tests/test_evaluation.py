@@ -164,3 +164,9 @@ class TestMetricTrace:
     def test_out_of_range_ndcg_rejected(self):
         with pytest.raises(ValueError):
             MetricTrace([0, 1], [0.5, 1.5])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_ndcg_rejected(self, value):
+        # NaN fails every comparison, so a min/max range test lets it through.
+        with pytest.raises(ValueError, match=rf"^ndcg values must lie in \[0, 1\], got {value!r}$"):
+            MetricTrace([0, 5], [value, 0.5])

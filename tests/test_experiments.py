@@ -82,6 +82,23 @@ class TestConfig:
             tiny_config(comparator="quantum").validate()
 
     @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("algorithm", "algorithm must be one of ('dbgd', 'pdgd'), got 'quantum'"),
+            ("comparator", "comparator must be one of ('probabilistic', 'team_draft', 'oracle'), got 'quantum'"),
+            (
+                "click_model",
+                "click_model must be one of "
+                "('perfect', 'almost_random_cascading', 'almost_random_noncascading'), got 'quantum'",
+            ),
+        ],
+    )
+    def test_choice_refusals_name_the_value(self, field, message):
+        with pytest.raises(ValueError) as excinfo:
+            tiny_config(**{field: "quantum"}).validate()
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("impressions", 20.5),

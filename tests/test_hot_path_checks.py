@@ -14,8 +14,6 @@ from oltrsim.clicks import (
     Interaction,
     click_model,
     simulate,
-    simulate_cascading,
-    simulate_noncascading,
 )
 from oltrsim.datasets import Query
 from oltrsim.dbgd import DbgdState, dbgd_step
@@ -93,17 +91,6 @@ CASES = {
     "simulate negative grade": (
         lambda: simulate(np.arange(3), [1, -1, 0], click_model(ALMOST_RANDOM_CASCADING), np.random.default_rng(0)),
         "grade outside [0, 4]",
-    ),
-    "cascading simulator, non-cascading model": (
-        lambda: simulate_cascading(
-            np.arange(2), [1, 1], click_model(ALMOST_RANDOM_NONCASCADING), np.random.default_rng(0)
-        ),
-        "click model 'almost_random_noncascading' not valid here, "
-        "expected one of ('perfect', 'almost_random_cascading')",
-    ),
-    "non-cascading simulator, perfect model": (
-        lambda: simulate_noncascading(np.arange(2), [1, 1], click_model(PERFECT), np.random.default_rng(0)),
-        "click model 'perfect' not valid here, expected one of ('almost_random_noncascading',)",
     ),
     "dbgd_step query without documents": (
         lambda: dbgd_step_on(DbgdState(LinearRanker(np.zeros(3))), query_without_documents()),
