@@ -7,7 +7,9 @@ Subcommands::
     oltrsim compare <dir-a> <dir-b>    Welch test between two result sets
     oltrsim synth <spec.json> <dir>    write synthetic data in LETOR format
 
-Set ``OLTR_WORKERS`` to override the number of worker processes.
+Set ``OLTR_WORKERS`` (or pass ``run --workers``) to override the number of
+worker processes, which both parse the LETOR files of a config and
+execute its runs.
 """
 
 from __future__ import annotations

@@ -268,15 +268,16 @@ def checkpoint_schedule(impressions: int, num_checkpoints: int = 30) -> list[int
     return sorted(p for p in points if 0 <= p <= impressions)
 
 
-def load_config_dataset(config: ExperimentConfig) -> datasets.Dataset:
+def load_config_dataset(config: ExperimentConfig, workers: int = 1) -> datasets.Dataset:
     """Materialize the dataset a config refers to.
 
     A synthetic spec's dataset is used as generated; train/test files are
-    min-max normalized per query by :func:`datasets.load_dataset`.
+    parsed with up to ``workers`` processes and min-max normalized per
+    query by :func:`datasets.load_dataset`.
     """
     if config.synthetic is not None:
         return config.synthetic.make()
-    return datasets.load_dataset(config.train_path, config.test_path)
+    return datasets.load_dataset(config.train_path, config.test_path, workers)
 
 
 def _run_seed(config: ExperimentConfig, run_index: int) -> tuple[int, np.random.SeedSequence]:
@@ -391,7 +392,8 @@ def run_experiment(
     The dataset is loaded once, in this process, and shared with the
     workers.  Runs are independent and order-insensitive; the worker count
     (argument, else the ``OLTR_WORKERS`` environment variable, else the CPU
-    count) changes only wall-clock time, never results.
+    count) also sets how many processes parse LETOR files, and changes only
+    wall-clock time, never results.
     """
     config.validate()
     # Read once, before the runs: an incomparable baseline is refused before
@@ -399,7 +401,7 @@ def run_experiment(
     baseline = load_baseline(config)
     n_workers = resolve_workers(workers)
     indices = list(range(config.repeats))
-    data = load_config_dataset(config)
+    data = load_config_dataset(config, n_workers)
     if n_workers == 1 or config.repeats == 1:
         results = [run_with_dataset(config, i, data) for i in indices]
     else:

@@ -276,8 +276,8 @@ def reference_parse_letor(path, feature_dim=None):
     """LETOR/SVMlight parsing one dict per line, as the loader first did.
 
     Returns ``([(qid, features, grades), ...], dim)`` with queries in order
-    of first appearance, and raises the same line-numbered ``ValueError``s
-    the package's parser must raise.
+    of first appearance, and raises the same ``<path>: line N: ...``
+    ``ValueError``s the package's parser must raise.
     """
     rows = []
     max_fid = 0
@@ -290,28 +290,30 @@ def reference_parse_letor(path, feature_dim=None):
             if not tokens:
                 continue
             if len(tokens) < 2 or not tokens[1].startswith("qid:"):
-                raise ValueError(f"line {lineno}: expected '<grade> qid:<id> ...', got {line.strip()!r}")
+                raise ValueError(f"{path}: line {lineno}: expected '<grade> qid:<id> ...', got {line.strip()!r}")
             try:
                 grade = int(tokens[0])
             except ValueError:
-                raise ValueError(f"line {lineno}: grade {tokens[0]!r} is not an integer") from None
+                raise ValueError(f"{path}: line {lineno}: grade {tokens[0]!r} is not an integer") from None
             if grade < 0 or grade > 4:
-                raise ValueError(f"line {lineno}: grade {grade} outside [0, 4]")
+                raise ValueError(f"{path}: line {lineno}: grade {grade} outside [0, 4]")
             qid = tokens[1][len("qid:"):]
             if not qid:
-                raise ValueError(f"line {lineno}: empty query id")
+                raise ValueError(f"{path}: line {lineno}: empty query id")
             values = {}
             for token in tokens[2:]:
                 fid_str, sep, val_str = token.partition(":")
                 if not sep:
-                    raise ValueError(f"line {lineno}: malformed feature token {token!r}")
+                    raise ValueError(f"{path}: line {lineno}: malformed feature token {token!r}")
                 try:
                     fid = int(fid_str)
                     val = float(val_str)
                 except ValueError:
-                    raise ValueError(f"line {lineno}: malformed feature token {token!r}") from None
+                    raise ValueError(f"{path}: line {lineno}: malformed feature token {token!r}") from None
                 if fid < 1:
-                    raise ValueError(f"line {lineno}: feature id must be >= 1, got {fid}")
+                    raise ValueError(f"{path}: line {lineno}: feature id must be >= 1, got {fid}")
+                if not math.isfinite(val):
+                    raise ValueError(f"{path}: line {lineno}: non-finite feature value {token!r}")
                 values[fid] = val
             rows.append((grade, qid, values))
             if values:

@@ -92,6 +92,15 @@ class TestRun:
         assert f"error: config field {field} must be" in capsys.readouterr().err
         assert os.listdir(tmp_path) == [config_path.name]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bad_dataset_line_names_the_file(self, tmp_path, capsys, workers):
+        train, test = tmp_path / "train.txt", tmp_path / "test.txt"
+        train.write_text("1 qid:1 1:0.5\n0 qid:1 1:0.25\n")
+        test.write_text("1 qid:2 1:0.5\n\n# comment\n0 qid:2 1:x\n")
+        config_path, _ = write_config(tmp_path, synthetic=None, train_path=str(train), test_path=str(test))
+        assert main(["run", str(config_path), "--workers", workers]) == 1
+        assert capsys.readouterr().err == f"error: {test}: line 4: malformed feature token '1:x'\n"
+
 
 TRACE_HEADER = "run_id,seed,impressions,ndcg10\n"
 

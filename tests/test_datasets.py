@@ -93,6 +93,34 @@ class TestParseLetor:
         assert dim == 3
         assert queries[0].features.tolist() == [[0.0, 0.0, 0.5], [0.2, 0.0, 0.0], [0.1, 0.3, 0.4]]
 
+    @pytest.mark.parametrize("text, token", [
+        ("1 qid:1 1:0.5 2:nan\n", "2:nan"),  # a dense line
+        ("1 qid:1 2:inf 1:0.5\n", "2:inf"),  # a sparse line
+        ("1 qid:1 1:-Infinity\n", "1:-Infinity"),
+    ])
+    def test_non_finite_value_names_its_line(self, tmp_path, text, token):
+        path = write_tmp(tmp_path, "0 qid:1 1:0.25\n" + text + "0 qid:1 1:x\n")
+        with pytest.raises(ValueError) as raised:
+            parse_letor(path)
+        assert str(raised.value) == f"{path}: line 2: non-finite feature value {token!r}"
+
+    def test_finite_values_whose_sum_overflows_accepted(self, tmp_path):
+        queries, _ = parse_letor(write_tmp(tmp_path, "1 qid:1 1:1e308 2:1e308\n"))
+        assert queries[0].features.tolist() == [[1e308, 1e308]]
+
+    def test_error_names_the_file(self, tmp_path):
+        path = write_tmp(tmp_path, "1 qid:1 1:0.5\n\n# comment\n1 qid:1 1:x\n")
+        with pytest.raises(ValueError) as raised:
+            parse_letor(path)
+        assert str(raised.value) == f"{path}: line 4: malformed feature token '1:x'"
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_bytes("1 qid:1 1:0.5 # café\n".encode() + b"0 qid:1 1:0.25 # \xff\n")
+        with pytest.raises(ValueError) as raised:
+            parse_letor(path)
+        assert str(raised.value) == f"{path}: line 2: not UTF-8 text (invalid start byte)"
+
     def test_line_without_features_accepted(self, tmp_path):
         queries, dim = parse_letor(write_tmp(tmp_path, "3 qid:1\n0 qid:1 1:0.3\n"))
         assert dim == 1
@@ -111,8 +139,8 @@ _GOOD = {
 _BAD = {
     "grade": ["5", "-1", "x"],
     "qid": ["qid:", "qd:1"],
-    "token": ["1:", ":5", "1:2:3", "abc", "1.5:0.2", "0:1", "-2:1", ":", "2:x"],
-    "dense_value": ["1:2", "x", ""],
+    "token": ["1:", ":5", "1:2:3", "abc", "1.5:0.2", "0:1", "-2:1", ":", "2:x", "2:nan", "1:-inf"],
+    "dense_value": ["1:2", "x", "", "inf", "NaN"],
 }
 
 
@@ -127,6 +155,9 @@ def _letor_line(draw):
     return draw(st.sampled_from([line, line, line + " # c", "", "# only a comment", "  " + line + "\t"]))
 
 
+SPLIT_COUNTS = (1, 2, 3)
+
+
 class TestParserMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -137,16 +168,22 @@ class TestParserMatchesReference:
         try:
             expected, expected_dim = reference_parse_letor(path)
         except ValueError as exc:
-            with pytest.raises(ValueError) as raised:
-                parse_letor(path)
-            assert str(raised.value) == str(exc)
-            return
-        queries, dim = parse_letor(path)
-        assert dim == expected_dim
-        assert [q.qid for q in queries] == [qid for qid, _, _ in expected]
-        for q, (_, features, grades) in zip(queries, expected):
-            assert np.array_equal(q.features, features)
-            assert np.array_equal(q.relevance, grades)
+            expected, expected_dim, error = None, None, str(exc)
+        # Every line may start a range, so the file is parsed whole and in 2 and 3 ranges.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(datasets, "_MIN_RANGE_BYTES", 1)
+            for workers in SPLIT_COUNTS:
+                if expected is None:
+                    with pytest.raises(ValueError) as raised:
+                        parse_letor(path, workers)
+                    assert str(raised.value) == error
+                    continue
+                queries, dim = parse_letor(path, workers)
+                assert dim == expected_dim
+                assert [q.qid for q in queries] == [qid for qid, _, _ in expected]
+                for q, (_, features, grades) in zip(queries, expected):
+                    assert np.array_equal(q.features, features)
+                    assert np.array_equal(q.relevance, grades)
 
 
 class TestRoundTrip:
@@ -297,3 +334,143 @@ class TestLoadDataset:
         # Normalized per query; train's two padded columns are constant, so they read 0.
         assert data.train[0].features.tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
         assert data.test[0].features.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+
+
+WORKER_COUNTS = (1, 2, 3, 5)
+
+
+def _rows(lines: list[str]) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _dense_query(qid: str, docs: int, width: int, seed: int) -> list[str]:
+    rng = np.random.default_rng(seed)
+    return [
+        f"{rng.integers(0, 5)} qid:{qid} " + " ".join(f"{fid}:{float(v)!r}" for fid, v in enumerate(rng.normal(size=width), 1))
+        for _ in range(docs)
+    ]
+
+
+class TestWorkerCountInvariance:
+    """``load_dataset`` gives the same arrays, qids and width for every worker count.
+
+    The range floor is lowered so that files of a few lines split into as
+    many ranges as there are workers (or lines).
+    """
+
+    @pytest.fixture(autouse=True)
+    def small_ranges(self, monkeypatch):
+        monkeypatch.setattr(datasets, "_MIN_RANGE_BYTES", 1)
+
+    @staticmethod
+    def assert_invariant(train, test):
+        assert len(datasets._line_ranges(train, max(WORKER_COUNTS))) > 1  # the multi-range path runs
+        want = load_dataset(train, test, workers=1)
+        for workers in WORKER_COUNTS[1:]:
+            got = load_dataset(train, test, workers=workers)
+            assert got.feature_dim == want.feature_dim
+            for split in ("train", "test"):
+                got_split, want_split = getattr(got, split), getattr(want, split)
+                assert [q.qid for q in got_split] == [q.qid for q in want_split]
+                for g, w in zip(got_split, want_split, strict=True):
+                    assert np.array_equal(g.features, w.features)
+                    assert np.array_equal(g.relevance, w.relevance)
+        return want
+
+    @staticmethod
+    def assert_same_error(train, test, message):
+        for workers in WORKER_COUNTS:
+            with pytest.raises(ValueError) as raised:
+                load_dataset(train, test, workers=workers)
+            assert str(raised.value) == message
+
+    def write_pair(self, tmp_path, train: bytes | str, test: bytes | str):
+        paths = []
+        for name, content in (("train.txt", train), ("test.txt", test)):
+            path = tmp_path / name
+            path.write_bytes(content if isinstance(content, bytes) else content.encode())
+            paths.append(path)
+        return paths
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "\n"])
+    def test_line_endings(self, tmp_path, newline):
+        lines = _dense_query("1", 4, 3, seed=1) + ["", "# comment"] + _dense_query("2", 5, 3, seed=2)
+        text = newline.join(lines) + newline
+        train, test = self.write_pair(tmp_path, text, text.replace("qid:", "qid:t"))
+        data = self.assert_invariant(train, test)
+        assert [q.n_docs for q in data.train] == [4, 5]
+        # A \r\n counts once and a lone \r is a break, as in universal-newline text reading.
+        self.write_pair(tmp_path, text + f"1 qid:3 1:x{newline}", text)
+        self.assert_same_error(train, test, f"{train}: line 12: malformed feature token '1:x'")
+
+    def test_comments_and_blank_lines(self, tmp_path):
+        lines = ["# header", ""] + _dense_query("a", 3, 2, seed=3)
+        lines[3] += "  # docid = 7"
+        lines += ["", "   ", "#", "\t"] + _dense_query("b", 3, 2, seed=4) + ["# trailer"]
+        train, test = self.write_pair(tmp_path, _rows(lines), _rows(lines[2:]))
+        data = self.assert_invariant(train, test)
+        assert [q.qid for q in data.train] == ["a", "b"]
+
+    def test_sparse_lines_and_differing_widths(self, tmp_path):
+        train = _rows(["1 qid:1 3:0.5", "0 qid:1 1:0.2", "2 qid:2 1:0.1 2:0.3 3:0.4", "1 qid:2 2:9", "0 qid:3 7:1.5"])
+        test = _rows(["2 qid:9 1:5.0 2:1.0", "0 qid:9 1:7.0 2:3.0", "1 qid:9 2:2.0"])
+        data = self.assert_invariant(*self.write_pair(tmp_path, train, test))
+        assert data.feature_dim == 7
+
+    def test_non_contiguous_qids(self, tmp_path):
+        text = _rows(["1 qid:a 1:1.0", "0 qid:b 1:2.0", "2 qid:a 1:3.0", "3 qid:c 1:4.0", "4 qid:b 1:5.0", "1 qid:a 1:6.0"])
+        data = self.assert_invariant(*self.write_pair(tmp_path, text, text))
+        assert [q.qid for q in data.train] == ["a", "b", "c"]
+        assert data.train[0].relevance.tolist() == [1, 2, 1]
+
+    def test_query_straddling_a_range_boundary(self, tmp_path):
+        lines = _dense_query("1", 2, 4, seed=5) + _dense_query("2", 12, 4, seed=6) + _dense_query("3", 2, 4, seed=7)
+        train, test = self.write_pair(tmp_path, _rows(lines), _rows(lines[::-1]))
+        ranges = datasets._line_ranges(train, 2)
+        assert len(ranges) == 2 and "qid:2 " in train.read_bytes()[ranges[1][0] :].decode().split("\n")[0]
+        data = self.assert_invariant(train, test)
+        assert [q.n_docs for q in data.train] == [2, 12, 2]
+
+    def test_fewer_lines_than_workers(self, tmp_path):
+        train, test = self.write_pair(tmp_path, "1 qid:1 1:0.5\n0 qid:1 1:0.25\n", "2 qid:2 1:1.0 2:3.0")
+        assert len(datasets._line_ranges(train, 5)) == 2
+        assert len(datasets._line_ranges(test, 5)) == 1
+        data = self.assert_invariant(train, test)
+        assert data.feature_dim == 2
+
+    def test_bad_line_in_the_last_range(self, tmp_path):
+        lines = _dense_query("1", 6, 3, seed=8)
+        train, test = self.write_pair(tmp_path, _rows(lines), _rows(lines[:-1] + ["0 qid:1 1:0.5 2:nan"]))
+        self.assert_same_error(train, test, f"{test}: line 6: non-finite feature value '2:nan'")
+
+    def test_earlier_of_two_bad_lines_reported(self, tmp_path):
+        lines = _dense_query("1", 9, 3, seed=9)
+        lines[2], lines[7] = "7 qid:1 1:0.5", "1 qid:1 0:0.5"
+        train, test = self.write_pair(tmp_path, _rows(lines), "1 qid:x\n")
+        line_starts = np.cumsum([0] + [len(line) + 1 for line in lines])
+        range_starts = [start for start, _ in datasets._line_ranges(train, 5)]
+        assert np.searchsorted(range_starts, line_starts[2], "right") < np.searchsorted(range_starts, line_starts[7], "right")
+        self.assert_same_error(train, test, f"{train}: line 3: grade 7 outside [0, 4]")
+        # The train file's error comes before any in the test file.
+        self.write_pair(tmp_path, _rows(lines[:7] + ["1 qid:1 0:0.5"]), "9 qid:x\n")
+        self.assert_same_error(train, test, f"{train}: line 3: grade 7 outside [0, 4]")
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        lines = [line.encode() for line in _dense_query("1", 6, 3, seed=10)]
+        lines[4] += b" # \xc3("
+        train, test = self.write_pair(tmp_path, b"\n".join(lines) + b"\n", _rows(_dense_query("2", 2, 3, seed=11)))
+        self.assert_same_error(train, test, f"{train}: line 5: not UTF-8 text (invalid continuation byte)")
+        lines[1] += b" 4:x"  # a malformed token on an earlier line wins
+        self.write_pair(tmp_path, b"\n".join(lines) + b"\n", _rows(_dense_query("2", 2, 3, seed=11)))
+        self.assert_same_error(train, test, f"{train}: line 2: malformed feature token '4:x'")
+
+    def test_small_file_forks_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.undo()  # the real range floor
+        monkeypatch.setattr(datasets, "ProcessPoolExecutor", None)  # any fork would call it
+        lines = _dense_query("1", 300, 136, seed=12)
+        train, test = self.write_pair(tmp_path, _rows(lines), _rows(lines[:2]))
+        assert 0.8 < train.stat().st_size / (1 << 20) < 1
+        assert load_dataset(train, test, workers=5).feature_dim == 136
+        with train.open("a") as fh:  # past 1 MiB the file splits in two
+            fh.write(_rows(lines[:40]))
+        assert len(datasets._line_ranges(train, 5)) == 2

@@ -370,14 +370,15 @@ class TestRunExperiment:
         pid_log = tmp_path / "pids.txt"
         load = experiments.load_config_dataset
 
-        def logged_load(cfg):
+        def logged_load(cfg, workers):
             with open(pid_log, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return load(cfg)
+                fh.write(f"{os.getpid()} {workers}\n")
+            return load(cfg, workers)
 
         monkeypatch.setattr(experiments, "load_config_dataset", logged_load)
         parallel, _ = run_experiment(config, workers=2)
-        assert pid_log.read_text().split() == [str(os.getpid())]
+        # Loaded once, in this process, with the run's worker count.
+        assert pid_log.read_text().split() == [str(os.getpid()), "2"]
         serial, _ = run_experiment(config, workers=1)
         for a, b in zip(serial, parallel, strict=True):
             assert (a.run_id, a.seed, a.final_ndcg) == (b.run_id, b.seed, b.final_ndcg)
