@@ -8,8 +8,8 @@ Subcommands::
     oltrsim synth <spec.json> <dir>    write synthetic data in LETOR format
 
 Set ``OLTR_WORKERS`` (or pass ``run --workers``) to override the number of
-worker processes, which both parse the LETOR files of a config and
-execute its runs.
+worker processes that execute a config's runs; with more than one, a
+LETOR test file is parsed in a forked process beside train.
 """
 
 from __future__ import annotations

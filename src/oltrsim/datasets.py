@@ -11,10 +11,8 @@ by query id.  Missing feature ids are treated as 0.
 from __future__ import annotations
 
 import contextlib
-import io
 import math
 import os
-import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -143,107 +141,30 @@ def _check_utf8(line: str) -> None:
         raise ValueError(f"not UTF-8 text ({exc.reason})") from None
 
 
-# A file is cut into at most one byte range per worker, and into no range
-# shorter than this.  Forking a worker and returning its rows costs about
-# 10 ms, as long as parsing ~450 KiB of a 136-feature file takes: on a 2-core
-# VM two ranges broke even on a 1 MiB file and were 1.3x faster on 2 MiB.  A
-# file under twice this size is parsed in-process and forks nothing.
-_MIN_RANGE_BYTES = 1 << 19
-_LINE_BREAK = re.compile(rb"\r\n?|\n")
+def parse_letor(path: str | os.PathLike) -> tuple[list[Query], int]:
+    """Parse a LETOR/SVMlight file into queries grouped by qid, in one pass.
 
+    Documents keep file order within each query; queries are ordered by
+    first appearance.  Returns ``(queries, feature_dim)`` where the
+    dimension is the largest feature id seen; :func:`load_dataset` pads
+    the narrower of a train/test pair to the wider one's width.
 
-class _ByteRange(io.RawIOBase):
-    """The next ``length`` bytes of an open binary file, as a stream that ends there."""
-
-    def __init__(self, raw: io.FileIO, length: int):
-        super().__init__()
-        self._raw = raw
-        self._left = length
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        with memoryview(buffer) as view:
-            count = self._raw.readinto(view[: self._left])
-        self._left -= count
-        return count
-
-
-@contextlib.contextmanager
-def _open_range(path: str | os.PathLike, start: int, end: int):
-    """Bytes ``[start, end)`` of the file at ``path`` as a buffered binary stream."""
-    with open(path, "rb", buffering=0) as raw:
-        raw.seek(start)
-        yield io.BufferedReader(_ByteRange(raw, end - start))
-
-
-def _line_start(fh, offset: int) -> int:
-    """The first offset at or after ``offset`` (> 0) where a line starts, else the file's size.
-
-    A line starts after ``\\n``, after ``\\r\\n`` and after a ``\\r`` that no
-    ``\\n`` follows, as universal-newline text iteration splits lines.
+    Rows go straight into arrays preallocated from a count of line breaks.
+    A bad file raises ``<path>: line N: ...`` for its first bad line, lines
+    counted as text reading counts them; bytes that are not UTF-8 fail the
+    line that holds them.
     """
-    position = offset - 1
-    fh.seek(position)
-    while chunk := fh.read(1 << 16):
-        found = _LINE_BREAK.search(chunk)
-        if found:
-            if found.end() == len(chunk) and chunk.endswith(b"\r") and fh.read(1) == b"\n":
-                return position + found.end() + 1
-            return position + found.end()
-        position += len(chunk)
-    return position
-
-
-def _line_ranges(path: str | os.PathLike, workers: int) -> list[tuple[int, int]]:
-    """Byte ranges that cover the file in order, each starting at a line start.
-
-    There are at most ``workers`` of them, of near-equal size and none
-    shorter than ``_MIN_RANGE_BYTES`` before it is moved to a line start.
-    """
-    size = os.path.getsize(path)
-    parts = max(1, min(workers, size // _MIN_RANGE_BYTES))
     with open(path, "rb") as fh:
-        inner = {_line_start(fh, size * k // parts) for k in range(1, parts)}
-    cuts = [0, *sorted(inner - {0, size}), size]
-    return list(zip(cuts, cuts[1:]))
-
-
-class _BadLine(Exception):
-    """A line a range could not parse: ``args`` are its number within the range and the reason."""
-
-
-@dataclass
-class _Block:
-    """The rows of one byte range of a LETOR file, in file order."""
-
-    features: np.ndarray  # (rows, largest feature id in the range)
-    grades: np.ndarray
-    owners: np.ndarray  # each row's index into qids
-    qids: list[str]  # the range's query ids in order of first appearance
-    lines: int  # lines read, blank and comment lines included
-
-
-def _parse_range(path: str | os.PathLike, start: int, end: int) -> _Block:
-    """Parse the lines in bytes ``[start, end)``, straight into preallocated arrays.
-
-    Raises :class:`_BadLine` for the range's first bad line, numbered from 1
-    at ``start``.  Bytes that are not UTF-8 fail the line that holds them.
-    """
-    with _open_range(path, start, end) as stream:
-        chunks = iter(lambda: stream.read(1 << 20), b"")
+        chunks = iter(lambda: fh.read(1 << 20), b"")
         capacity = 1 + sum(chunk.count(b"\n") + chunk.count(b"\r") for chunk in chunks)  # >= the line count
     features = np.zeros((capacity, 0))
     grades = np.empty(capacity, dtype=np.int64)
     owners = np.empty(capacity, dtype=np.intp)
     qids: dict[str, int] = {}
     dense: tuple[tuple[str, ...], tuple[slice, ...]] = ((), ())
-    n = max_fid = lines = 0
-    with _open_range(path, start, end) as stream, io.TextIOWrapper(
-        stream, encoding="utf-8", errors="surrogateescape"
-    ) as text:
-        for lines, line in enumerate(text, start=1):
+    n = max_fid = 0
+    with open(path, encoding="utf-8", errors="surrogateescape") as text:
+        for lineno, line in enumerate(text, start=1):
             try:
                 if not line.isascii():
                     _check_utf8(line)
@@ -259,7 +180,7 @@ def _parse_range(path: str | os.PathLike, start: int, end: int) -> _Block:
                         dense = _dense_prefixes(len(tokens) - 2)
                     cols, vals, top = _read_features(tokens[2:], dense)
             except ValueError as exc:
-                raise _BadLine(lines, str(exc)) from None
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
             if len(tokens) > 2:
                 max_fid = max(max_fid, top)
                 if top > features.shape[1]:
@@ -271,69 +192,11 @@ def _parse_range(path: str | os.PathLike, start: int, end: int) -> _Block:
             grades[n] = grade
             owners[n] = qids.setdefault(qid, len(qids))
             n += 1
-    return _Block(np.ascontiguousarray(features[:n, :max_fid]), grades[:n], owners[:n], list(qids), lines)
-
-
-def _parse_ranges(path: str | os.PathLike, ranges: list[tuple[int, int]]) -> list[_Block]:
-    """Each range's block, in order: the first parsed here, each other in a forked worker.
-
-    The error raised is the file's first bad line, numbered in the file.
-    """
-    pool = (
-        ProcessPoolExecutor(len(ranges) - 1, mp_context=get_context("fork"))
-        if len(ranges) > 1
-        else contextlib.nullcontext()
-    )
-    with pool:
-        later = [pool.submit(_parse_range, path, start, end).result for start, end in ranges[1:]]
-        blocks: list[_Block] = []
-        offset = 0
-        for parse in (partial(_parse_range, path, *ranges[0]), *later):
-            try:
-                blocks.append(parse())
-            except _BadLine as bad:
-                lineno, reason = bad.args
-                raise ValueError(f"{path}: line {offset + lineno}: {reason}") from None
-            offset += blocks[-1].lines
-    return blocks
-
-
-def parse_letor(path: str | os.PathLike, workers: int = 1) -> tuple[list[Query], int]:
-    """Parse a LETOR/SVMlight file into queries grouped by qid.
-
-    Documents keep file order within each query; queries are ordered by
-    first appearance.  Returns ``(queries, feature_dim)`` where the
-    dimension is the largest feature id seen; :func:`load_dataset` pads
-    the narrower of a train/test pair to the wider one's width.
-
-    The file is cut at line starts into up to ``workers`` byte ranges of
-    at least 512 KiB, so a file under 1 MiB forks nothing; this process
-    parses the first range and forked workers the others, and their rows
-    are joined in file order.
-    The result, and the error a bad file raises (``<path>: line N: ...``
-    for its first bad line), are the same for every worker count.
-    """
-    blocks = _parse_ranges(path, _line_ranges(path, workers))
-    qids: dict[str, int] = {}
-    owners = []
-    for block in blocks:
-        to_file = np.array([qids.setdefault(qid, len(qids)) for qid in block.qids], dtype=np.intp)
-        owners.append(to_file[block.owners])
-    owners = np.concatenate(owners)
-    grades = np.concatenate([block.grades for block in blocks])
-    if not grades.size:
+    if not n:
         raise ValueError(f"{path}: no documents found")
-    max_fid = max(block.features.shape[1] for block in blocks)
     if max_fid < 1:
         raise ValueError(f"{path}: could not infer a feature dimension")
-    if len(blocks) == 1:
-        features = blocks[0].features
-    else:  # narrower blocks read 0 in the columns they lack, as absent feature ids do
-        features = np.zeros((grades.size, max_fid))
-        row = 0
-        for block in blocks:
-            features[row : row + len(block.grades), : block.features.shape[1]] = block.features
-            row += len(block.grades)
+    features, grades, owners = np.ascontiguousarray(features[:n, :max_fid]), grades[:n], owners[:n]
 
     if np.any(owners[1:] < owners[:-1]):  # a query's documents are not contiguous: gather them
         order = np.argsort(owners, kind="stable")
@@ -454,17 +317,35 @@ def _zero_pad(queries: list[Query], dim: int) -> list[Query]:
     return padded
 
 
+# With more than one worker, a test file of at least this size is parsed in
+# one forked process while this one parses train.  Forking and returning the
+# rows cost about 10 ms, as long as parsing ~450 KiB of a 136-feature file.
+_MIN_FORK_BYTES = 1 << 19
+
+
+def _parse_forked(path: str | os.PathLike) -> tuple[list[Query], int]:
+    """:func:`parse_letor`, under a name the pool pickles that stays bound
+    when a tracer (``bench/tracer.py``) rebinds ``parse_letor`` to a closure."""
+    return parse_letor(path)
+
+
 def load_dataset(train_path: str | os.PathLike, test_path: str | os.PathLike, workers: int = 1) -> Dataset:
     """Load a train/test pair of LETOR files, min-max normalized per query.
 
-    Each file is parsed once, with up to ``workers`` processes
-    (:func:`parse_letor`); the split with fewer features is zero-padded
-    to the other's width, and then every feature is normalized within each
-    query (:func:`normalize_query_level`), as LETOR 4.0's QueryLevelNorm
-    files are.
+    Each file is parsed once (:func:`parse_letor`).  With ``workers`` > 1
+    and a test file of at least 512 KiB, one forked process parses the test
+    file while this one parses train; either way a bad train line is
+    reported before a bad test line.  The split with fewer features is
+    zero-padded to the other's width, and then every feature is normalized
+    within each query (:func:`normalize_query_level`), as LETOR 4.0's
+    QueryLevelNorm files are.
     """
-    train, dim_train = parse_letor(train_path, workers)
-    test, dim_test = parse_letor(test_path, workers)
+    # A missing test file forks nothing, so parse_letor reports it after train's errors.
+    fork = workers > 1 and os.path.isfile(test_path) and os.path.getsize(test_path) >= _MIN_FORK_BYTES
+    with ProcessPoolExecutor(1, mp_context=get_context("fork")) if fork else contextlib.nullcontext() as pool:
+        parse_test = pool.submit(_parse_forked, test_path).result if fork else partial(parse_letor, test_path)
+        train, dim_train = parse_letor(train_path)
+        test, dim_test = parse_test()
     dim = max(dim_train, dim_test)
     train = normalize_query_level(_zero_pad(train, dim))
     test = normalize_query_level(_zero_pad(test, dim))

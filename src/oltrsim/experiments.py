@@ -15,6 +15,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass
+from multiprocessing import get_context
 from types import MappingProxyType
 
 import numpy as np
@@ -272,8 +273,8 @@ def load_config_dataset(config: ExperimentConfig, workers: int = 1) -> datasets.
     """Materialize the dataset a config refers to.
 
     A synthetic spec's dataset is used as generated; train/test files are
-    parsed with up to ``workers`` processes and min-max normalized per
-    query by :func:`datasets.load_dataset`.
+    parsed (with ``workers`` > 1, test in a forked process beside train)
+    and min-max normalized per query by :func:`datasets.load_dataset`.
     """
     if config.synthetic is not None:
         return config.synthetic.make()
@@ -392,8 +393,9 @@ def run_experiment(
     The dataset is loaded once, in this process, and shared with the
     workers.  Runs are independent and order-insensitive; the worker count
     (argument, else the ``OLTR_WORKERS`` environment variable, else the CPU
-    count) also sets how many processes parse LETOR files, and changes only
-    wall-clock time, never results.
+    count) changes only wall-clock time, never results.  With more than one
+    worker, a LETOR test file is parsed in a forked process while this one
+    parses train.
     """
     config.validate()
     # Read once, before the runs: an incomparable baseline is refused before
@@ -405,10 +407,11 @@ def run_experiment(
     if n_workers == 1 or config.repeats == 1:
         results = [run_with_dataset(config, i, data) for i in indices]
     else:
-        # Workers get the parent's dataset; under the fork start method they
-        # inherit its arrays instead of receiving a pickled copy.
+        # Workers get the parent's dataset; forked, they inherit its arrays
+        # instead of receiving a pickled copy.
         with ProcessPoolExecutor(
             max_workers=min(n_workers, config.repeats),
+            mp_context=get_context("fork"),
             initializer=_pool_init,
             initargs=(config, data),
         ) as pool:
@@ -473,7 +476,7 @@ def summarize(config: ExperimentConfig, results: list[RunResult], baseline: dict
     """Aggregate final NDCG across runs, plus any baseline significance test.
 
     ``baseline`` is the summary :func:`load_baseline` returned for
-    ``config``; if it is None, the baseline is loaded here.
+    ``config``, or None for no test; no file is read here.
     """
     finals = np.array([r.final_ndcg for r in results])
     summary = {
@@ -487,8 +490,6 @@ def summarize(config: ExperimentConfig, results: list[RunResult], baseline: dict
         "significance_test": "welch_two_sided",
         "checkpoint_schedule": checkpoint_schedule(config.impressions, config.num_checkpoints),
     }
-    if baseline is None:
-        baseline = load_baseline(config)
     if baseline is not None:
         t, p = welch_t_test(finals, np.asarray(baseline["per_run_final"]))
         summary["baseline"] = {

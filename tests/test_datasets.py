@@ -1,3 +1,5 @@
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,9 +157,6 @@ def _letor_line(draw):
     return draw(st.sampled_from([line, line, line + " # c", "", "# only a comment", "  " + line + "\t"]))
 
 
-SPLIT_COUNTS = (1, 2, 3)
-
-
 class TestParserMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -168,22 +167,16 @@ class TestParserMatchesReference:
         try:
             expected, expected_dim = reference_parse_letor(path)
         except ValueError as exc:
-            expected, expected_dim, error = None, None, str(exc)
-        # Every line may start a range, so the file is parsed whole and in 2 and 3 ranges.
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(datasets, "_MIN_RANGE_BYTES", 1)
-            for workers in SPLIT_COUNTS:
-                if expected is None:
-                    with pytest.raises(ValueError) as raised:
-                        parse_letor(path, workers)
-                    assert str(raised.value) == error
-                    continue
-                queries, dim = parse_letor(path, workers)
-                assert dim == expected_dim
-                assert [q.qid for q in queries] == [qid for qid, _, _ in expected]
-                for q, (_, features, grades) in zip(queries, expected):
-                    assert np.array_equal(q.features, features)
-                    assert np.array_equal(q.relevance, grades)
+            with pytest.raises(ValueError) as raised:
+                parse_letor(path)
+            assert str(raised.value) == str(exc)
+            return
+        queries, dim = parse_letor(path)
+        assert dim == expected_dim
+        assert [q.qid for q in queries] == [qid for qid, _, _ in expected]
+        for q, (_, features, grades) in zip(queries, expected):
+            assert np.array_equal(q.features, features)
+            assert np.array_equal(q.relevance, grades)
 
 
 class TestRoundTrip:
@@ -336,7 +329,7 @@ class TestLoadDataset:
         assert data.test[0].features.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
 
 
-WORKER_COUNTS = (1, 2, 3, 5)
+WORKER_COUNTS = (1, 2, 5)
 
 
 def _rows(lines: list[str]) -> str:
@@ -354,17 +347,16 @@ def _dense_query(qid: str, docs: int, width: int, seed: int) -> list[str]:
 class TestWorkerCountInvariance:
     """``load_dataset`` gives the same arrays, qids and width for every worker count.
 
-    The range floor is lowered so that files of a few lines split into as
-    many ranges as there are workers (or lines).
+    The fork floor is lowered so that with more than one worker a test file
+    of a few lines is parsed in a forked process.
     """
 
     @pytest.fixture(autouse=True)
-    def small_ranges(self, monkeypatch):
-        monkeypatch.setattr(datasets, "_MIN_RANGE_BYTES", 1)
+    def small_forks(self, monkeypatch):
+        monkeypatch.setattr(datasets, "_MIN_FORK_BYTES", 0)
 
     @staticmethod
     def assert_invariant(train, test):
-        assert len(datasets._line_ranges(train, max(WORKER_COUNTS))) > 1  # the multi-range path runs
         want = load_dataset(train, test, workers=1)
         for workers in WORKER_COUNTS[1:]:
             got = load_dataset(train, test, workers=workers)
@@ -423,22 +415,13 @@ class TestWorkerCountInvariance:
         assert [q.qid for q in data.train] == ["a", "b", "c"]
         assert data.train[0].relevance.tolist() == [1, 2, 1]
 
-    def test_query_straddling_a_range_boundary(self, tmp_path):
-        lines = _dense_query("1", 2, 4, seed=5) + _dense_query("2", 12, 4, seed=6) + _dense_query("3", 2, 4, seed=7)
-        train, test = self.write_pair(tmp_path, _rows(lines), _rows(lines[::-1]))
-        ranges = datasets._line_ranges(train, 2)
-        assert len(ranges) == 2 and "qid:2 " in train.read_bytes()[ranges[1][0] :].decode().split("\n")[0]
-        data = self.assert_invariant(train, test)
-        assert [q.n_docs for q in data.train] == [2, 12, 2]
-
     def test_fewer_lines_than_workers(self, tmp_path):
         train, test = self.write_pair(tmp_path, "1 qid:1 1:0.5\n0 qid:1 1:0.25\n", "2 qid:2 1:1.0 2:3.0")
-        assert len(datasets._line_ranges(train, 5)) == 2
-        assert len(datasets._line_ranges(test, 5)) == 1
         data = self.assert_invariant(train, test)
         assert data.feature_dim == 2
 
     def test_bad_line_in_the_last_range(self, tmp_path):
+        # The test file's last line; with more than one worker it is raised in the forked process.
         lines = _dense_query("1", 6, 3, seed=8)
         train, test = self.write_pair(tmp_path, _rows(lines), _rows(lines[:-1] + ["0 qid:1 1:0.5 2:nan"]))
         self.assert_same_error(train, test, f"{test}: line 6: non-finite feature value '2:nan'")
@@ -447,9 +430,6 @@ class TestWorkerCountInvariance:
         lines = _dense_query("1", 9, 3, seed=9)
         lines[2], lines[7] = "7 qid:1 1:0.5", "1 qid:1 0:0.5"
         train, test = self.write_pair(tmp_path, _rows(lines), "1 qid:x\n")
-        line_starts = np.cumsum([0] + [len(line) + 1 for line in lines])
-        range_starts = [start for start, _ in datasets._line_ranges(train, 5)]
-        assert np.searchsorted(range_starts, line_starts[2], "right") < np.searchsorted(range_starts, line_starts[7], "right")
         self.assert_same_error(train, test, f"{train}: line 3: grade 7 outside [0, 4]")
         # The train file's error comes before any in the test file.
         self.write_pair(tmp_path, _rows(lines[:7] + ["1 qid:1 0:0.5"]), "9 qid:x\n")
@@ -465,12 +445,23 @@ class TestWorkerCountInvariance:
         self.assert_same_error(train, test, f"{train}: line 2: malformed feature token '4:x'")
 
     def test_small_file_forks_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.undo()  # the real range floor
-        monkeypatch.setattr(datasets, "ProcessPoolExecutor", None)  # any fork would call it
+        monkeypatch.undo()  # the real fork floor
+        pools = []
+
+        class SpyPool(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append((max_workers, kwargs["mp_context"].get_start_method()))
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(datasets, "ProcessPoolExecutor", SpyPool)
         lines = _dense_query("1", 300, 136, seed=12)
-        train, test = self.write_pair(tmp_path, _rows(lines), _rows(lines[:2]))
-        assert 0.8 < train.stat().st_size / (1 << 20) < 1
+        train, test = self.write_pair(tmp_path, _rows(lines[:2]), _rows(lines[:150]))
+        assert 0.4 < test.stat().st_size / (1 << 19) < 1
         assert load_dataset(train, test, workers=5).feature_dim == 136
-        with train.open("a") as fh:  # past 1 MiB the file splits in two
-            fh.write(_rows(lines[:40]))
-        assert len(datasets._line_ranges(train, 5)) == 2
+        assert pools == []
+        self.write_pair(tmp_path, _rows(lines[:2]), _rows(lines))  # past 512 KiB one process forks
+        assert test.stat().st_size >= 1 << 19
+        assert load_dataset(train, test, workers=5).feature_dim == 136
+        assert pools == [(1, "fork")]
+        assert load_dataset(train, test, workers=1).feature_dim == 136
+        assert pools == [(1, "fork")]

@@ -6,6 +6,7 @@ import re
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -375,10 +376,20 @@ class TestRunExperiment:
                 fh.write(f"{os.getpid()} {workers}\n")
             return load(cfg, workers)
 
+        start_methods = []
+
+        class SpyPool(ProcessPoolExecutor):
+            def __init__(self, *args, mp_context=None, **kwargs):
+                start_methods.append(mp_context and mp_context.get_start_method())
+                super().__init__(*args, mp_context=mp_context, **kwargs)
+
         monkeypatch.setattr(experiments, "load_config_dataset", logged_load)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SpyPool)
         parallel, _ = run_experiment(config, workers=2)
         # Loaded once, in this process, with the run's worker count.
         assert pid_log.read_text().split() == [str(os.getpid()), "2"]
+        # The run pool forks, whatever the platform's default, so workers inherit the dataset.
+        assert start_methods == ["fork"]
         serial, _ = run_experiment(config, workers=1)
         for a, b in zip(serial, parallel, strict=True):
             assert (a.run_id, a.seed, a.final_ndcg) == (b.run_id, b.seed, b.final_ndcg)
@@ -444,7 +455,7 @@ class TestRunExperiment:
 
         config = tiny_config(repeats=3, impressions=80, baseline_dir=base_config.output_dir)
         with pytest.raises(ValueError, match="impressions") as raised:
-            summarize(config, base_results)
+            load_baseline(config)
         assert "checkpoint_schedule" in str(raised.value)
         with pytest.raises(ValueError, match="impressions"):
             run_experiment(config, workers=1)
