@@ -19,8 +19,7 @@ import time
 
 import numpy as np
 
-from oltrsim.evaluation import welch_t_test
-from oltrsim.experiments import PAPER_ARMS, arm_config, emit_outputs, run_experiment
+from oltrsim.experiments import PAPER_ARMS, arm_config, compare_results, emit_outputs, run_experiment
 
 REFERENCE = "dbgd_prob_perfect"
 
@@ -47,14 +46,13 @@ def main() -> int:
             f"+/- {summary['final_ndcg_std']:.4f}  ({time.time() - start:.0f}s)"
         )
 
-    reference = finals[REFERENCE]
     print(f"\n{'arm':22s} {'mean':>8s} {'std':>8s} {'vs ' + REFERENCE:>22s}")
     for name, values in finals.items():
         if name == REFERENCE:
             verdict = "-"
         else:
-            t, p = welch_t_test(values, reference)
-            verdict = f"t={t:+.2f}, p={p:.1e}"
+            test = compare_results(os.path.join(args.out, name), os.path.join(args.out, REFERENCE))
+            verdict = f"t={test['t']:+.2f}, p={test['p']:.1e}"
         print(f"{name:22s} {values.mean():8.4f} {values.std(ddof=1):8.4f} {verdict:>22s}")
     print(f"\noutputs under {args.out}/<arm>/")
     return 0

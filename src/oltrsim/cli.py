@@ -7,6 +7,9 @@ Subcommands::
     oltrsim compare <dir-a> <dir-b>    Welch test between two result sets
     oltrsim synth <spec.json> <dir>    write synthetic data in LETOR format
 
+``compare`` refuses two result sets whose dataset, horizon or checkpoint
+schedule differ, naming each such field with both values.
+
 Set ``OLTR_WORKERS`` (or pass ``run --workers``) to override the number of
 worker processes that execute a config's runs; with more than one, a
 LETOR test file is parsed in a forked process beside train.
@@ -18,16 +21,13 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .datasets import write_letor
-from .evaluation import welch_t_test
 from .experiments import (
     ExperimentConfig,
     SyntheticSpec,
+    compare_results,
     emit_outputs,
     read_json,
-    read_summary,
     read_trace_csv,
     run_experiment,
     write_curve_svg,
@@ -44,9 +44,6 @@ def _cmd_run(args) -> int:
         + f"): final NDCG@10 = {summary['final_ndcg_mean']:.4f}"
         f" +/- {summary['final_ndcg_std']:.4f} over {summary['repeats']} runs"
     )
-    if "baseline" in summary:
-        base = summary["baseline"]
-        print(f"vs baseline {base['dir']}: t = {base['t_statistic']:.3f}, p = {base['p_value']:.2e}")
     print(f"outputs: {paths['trace']}, {paths['summary']}, {paths['curve']}")
     return 0
 
@@ -60,17 +57,11 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _load_finals(out_dir: str) -> np.ndarray:
-    return np.asarray(read_summary(out_dir)["per_run_final"], dtype=np.float64)
-
-
 def _cmd_compare(args) -> int:
-    finals_a = _load_finals(args.dir_a)
-    finals_b = _load_finals(args.dir_b)
-    t, p = welch_t_test(finals_a, finals_b)
-    print(f"a: {args.dir_a}: mean = {finals_a.mean():.4f} (n = {finals_a.size})")
-    print(f"b: {args.dir_b}: mean = {finals_b.mean():.4f} (n = {finals_b.size})")
-    print(f"welch two-sided: t = {t:.4f}, p = {p:.4e}")
+    test = compare_results(args.dir_a, args.dir_b)
+    print(f"a: {args.dir_a}: mean = {test['mean_a']:.4f} (n = {test['n_a']})")
+    print(f"b: {args.dir_b}: mean = {test['mean_b']:.4f} (n = {test['n_b']})")
+    print(f"welch two-sided: t = {test['t']:.4f}, p = {test['p']:.4e}")
     return 0
 
 

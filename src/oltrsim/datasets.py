@@ -276,6 +276,8 @@ def make_synthetic(
         raise ValueError("num_queries, docs_per_query and feature_dim must all be >= 1")
     if not np.isfinite(hardness):
         raise ValueError(f"hardness must be finite, got {hardness!r}")
+    if not np.all(np.isfinite(grade_bins)):
+        raise ValueError(f"grade_bins must be finite, got {grade_bins!r}")
     if len(grade_bins) != 4 or list(grade_bins) != sorted(grade_bins):
         raise ValueError("grade_bins must be 4 increasing rank-fraction thresholds")
     if hardness and feature_dim < 2:

@@ -44,7 +44,7 @@ _CONFIG_FIELD_KINDS = {
     **dict.fromkeys(("delta", "tau"), _NUMBER),
     "learning_rate": ((int, float, type(None)), "a number"),
     "output_dir": ((str,), "a string"),
-    **dict.fromkeys(("train_path", "test_path", "baseline_dir"), ((str, type(None)), "a string or null")),
+    **dict.fromkeys(("train_path", "test_path"), ((str, type(None)), "a string or null")),
 }
 
 
@@ -155,7 +155,6 @@ class ExperimentConfig:
     base_seed: int = 1
     num_checkpoints: int = 30
     output_dir: str = "results"
-    baseline_dir: str | None = None
 
     def validate(self) -> None:
         _check_field_types("config", vars(self), _CONFIG_FIELD_KINDS)
@@ -213,7 +212,6 @@ class ExperimentConfig:
         """Short digest of every field that influences run results."""
         payload = self.to_dict()
         payload.pop("output_dir")
-        payload.pop("baseline_dir")
         canonical = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
@@ -398,9 +396,6 @@ def run_experiment(
     parses train.
     """
     config.validate()
-    # Read once, before the runs: an incomparable baseline is refused before
-    # any run, and one rewritten or removed meanwhile loses no finished run.
-    baseline = load_baseline(config)
     n_workers = resolve_workers(workers)
     indices = list(range(config.repeats))
     data = load_config_dataset(config, n_workers)
@@ -417,7 +412,7 @@ def run_experiment(
         ) as pool:
             results = list(pool.map(_pool_run, indices))
     results.sort(key=lambda r: r.run_id)
-    summary = summarize(config, results, baseline)
+    summary = summarize(config, results)
     return results, summary
 
 
@@ -438,48 +433,51 @@ def read_summary(directory: str | os.PathLike) -> dict:
     return summary
 
 
-def _comparable_fields(config: dict) -> dict:
+def _comparable_fields(summary: dict) -> dict:
     """The fields a Welch test against another run set needs to be equal, as JSON values."""
+    config = summary["config"]
     normalize = config.get("normalize")
     if normalize is None:  # absent or null: the policy, files normalized and synthetic data not
         normalize = config.get("synthetic") is None
     fields = {name: config.get(name) for name in ("synthetic", "train_path", "test_path", "impressions")}
-    return json.loads(json.dumps({**fields, "normalize": normalize}))
+    fields.update(normalize=normalize, checkpoint_schedule=summary.get("checkpoint_schedule"))
+    return json.loads(json.dumps(fields))
 
 
-def load_baseline(config: ExperimentConfig) -> dict | None:
-    """The summary in ``config.baseline_dir``, if any, once it is shown to be comparable.
+def compare_results(dir_a: str | os.PathLike, dir_b: str | os.PathLike) -> dict:
+    """A two-sided Welch test between the per-run finals of two result directories.
 
-    Raises ``ValueError`` if ``repeats`` or the baseline's ``per_run_final``
-    gives the Welch test fewer than 2 values, and naming every field in which
-    the baseline's dataset, horizon or checkpoint schedule differs.
+    Both ``summary.json`` files are read with :func:`read_summary`.  Raises
+    ``ValueError``, naming both directories and, with both values, every
+    field in which their dataset (``synthetic``, ``train_path``,
+    ``test_path``, normalization), ``impressions`` or checkpoint schedule
+    differs.  Returns each side's mean final NDCG and run count
+    (``mean_a``, ``n_a``, ``mean_b``, ``n_b``) and the test's ``t`` and ``p``.
     """
-    if not config.baseline_dir:
-        return None
-    if config.repeats < 2:
-        raise ValueError(f"a baseline_dir needs repeats >= 2 for the Welch test, got {config.repeats}")
-    baseline = read_summary(config.baseline_dir)
-    ours = _comparable_fields(config.to_dict())
-    ours["checkpoint_schedule"] = checkpoint_schedule(config.impressions, config.num_checkpoints)
-    theirs = _comparable_fields(baseline["config"])
-    theirs["checkpoint_schedule"] = baseline.get("checkpoint_schedule")
-    differing = [name for name in ours if ours[name] != theirs[name]]
+    summaries = [read_summary(dir_a), read_summary(dir_b)]
+    a, b = (_comparable_fields(s) for s in summaries)
+    differing = [name for name in a if a[name] != b[name]]
     if differing:
         raise ValueError(
-            f"baseline {config.baseline_dir} is not comparable: "
-            + "; ".join(f"{name} is {theirs[name]!r} there, {ours[name]!r} here" for name in differing)
+            f"cannot compare a: {dir_a} with b: {dir_b}: "
+            + "; ".join(f"{name} is {a[name]!r} in a, {b[name]!r} in b" for name in differing)
         )
-    return baseline
+    finals_a, finals_b = (np.asarray(s["per_run_final"], dtype=np.float64) for s in summaries)
+    t, p = welch_t_test(finals_a, finals_b)
+    return {
+        "mean_a": float(finals_a.mean()),
+        "n_a": finals_a.size,
+        "mean_b": float(finals_b.mean()),
+        "n_b": finals_b.size,
+        "t": t,
+        "p": p,
+    }
 
 
-def summarize(config: ExperimentConfig, results: list[RunResult], baseline: dict | None = None) -> dict:
-    """Aggregate final NDCG across runs, plus any baseline significance test.
-
-    ``baseline`` is the summary :func:`load_baseline` returned for
-    ``config``, or None for no test; no file is read here.
-    """
+def summarize(config: ExperimentConfig, results: list[RunResult]) -> dict:
+    """Aggregate final NDCG across runs."""
     finals = np.array([r.final_ndcg for r in results])
-    summary = {
+    return {
         "config": config.to_dict(),
         "config_hash": config.config_hash(),
         "repeats": len(results),
@@ -487,18 +485,8 @@ def summarize(config: ExperimentConfig, results: list[RunResult], baseline: dict
         "final_ndcg_std": float(finals.std(ddof=1)) if finals.size > 1 else 0.0,
         "per_run_final": [float(v) for v in finals],
         "per_run_seed": [r.seed for r in results],
-        "significance_test": "welch_two_sided",
         "checkpoint_schedule": checkpoint_schedule(config.impressions, config.num_checkpoints),
     }
-    if baseline is not None:
-        t, p = welch_t_test(finals, np.asarray(baseline["per_run_final"]))
-        summary["baseline"] = {
-            "dir": config.baseline_dir,
-            "mean": float(np.mean(baseline["per_run_final"])),
-            "t_statistic": t,
-            "p_value": p,
-        }
-    return summary
 
 
 def emit_outputs(results: list[RunResult], summary: dict, out_dir: str | os.PathLike) -> dict:

@@ -83,13 +83,21 @@ class TestRun:
         )
         assert os.listdir(tmp_path) == [config_path.name]
 
-    @pytest.mark.parametrize("field, value", [("output_dir", 5), ("baseline_dir", [])])
+    @pytest.mark.parametrize("field, value", [("output_dir", 5)])
     def test_bad_field_type_fails_before_any_run(self, tmp_path, capsys, monkeypatch, field, value):
         # Refused by validation, before any run starts or any output is written.
         config_path, _ = write_config(tmp_path, **{field: value})
         monkeypatch.chdir(tmp_path)
         assert main(["run", str(config_path), "--workers", "1"]) == 1
         assert f"error: config field {field} must be" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == [config_path.name]
+
+    def test_baseline_dir_is_an_unknown_field(self, tmp_path, capsys, monkeypatch):
+        # Result sets are compared with `oltrsim compare`, after both exist.
+        config_path, _ = write_config(tmp_path, baseline_dir=str(tmp_path / "results"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(config_path), "--workers", "1"]) == 1
+        assert capsys.readouterr().err == "error: unknown config fields: ['baseline_dir']\n"
         assert os.listdir(tmp_path) == [config_path.name]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -136,19 +144,49 @@ class TestPlot:
         assert not (tmp_path / "curve.svg").exists()
 
 
+def run_config(tmp_path, name, **overrides) -> str:
+    """Run a tiny config with ``overrides`` into ``tmp_path / name`` and return that directory."""
+    config_path, config = write_config(tmp_path, name=f"{name}.json", output_dir=str(tmp_path / name), **overrides)
+    assert main(["run", str(config_path), "--workers", "1"]) == 0
+    return config["output_dir"]
+
+
 class TestCompare:
     def test_welch_between_result_dirs(self, tmp_path, capsys):
-        path_a, config_a = write_config(tmp_path, name="a.json", output_dir=str(tmp_path / "a"))
-        path_b, config_b = write_config(
-            tmp_path, name="b.json", base_seed=2, output_dir=str(tmp_path / "b")
-        )
-        assert main(["run", str(path_a), "--workers", "1"]) == 0
-        assert main(["run", str(path_b), "--workers", "1"]) == 0
+        dir_a = run_config(tmp_path, "a")
+        dir_b = run_config(tmp_path, "b", base_seed=2)
         capsys.readouterr()
-        assert main(["compare", config_a["output_dir"], config_b["output_dir"]]) == 0
+        assert main(["compare", dir_a, dir_b]) == 0
         out = capsys.readouterr().out
         assert "welch two-sided" in out
         assert "p = " in out
+
+    def test_incomparable_result_sets_refused(self, tmp_path, capsys):
+        dir_a = run_config(tmp_path, "a")
+        dir_b = run_config(tmp_path, "b", impressions=50)
+        capsys.readouterr()
+        assert main(["compare", dir_a, dir_b]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot compare a: {dir_a} with b: {dir_b}: impressions is 25 in a, 50 in b; ")
+
+    def test_summaries_with_the_old_baseline_keys_still_compare(self, tmp_path, capsys):
+        # A summary.json written when configs had baseline_dir may carry it, a baseline block and the test's name.
+        dir_a = run_config(tmp_path, "a")
+        dir_b = run_config(tmp_path, "b", base_seed=2)
+        capsys.readouterr()
+        assert main(["compare", dir_a, dir_b]) == 0
+        expected = capsys.readouterr().out
+        path = os.path.join(dir_b, "summary.json")
+        with open(path, encoding="utf-8") as fh:
+            summary = json.load(fh)
+        summary["config"]["baseline_dir"] = dir_a
+        summary["baseline"] = {"dir": dir_a, "mean": 0.5, "t_statistic": 1.0, "p_value": 0.5}
+        summary["significance_test"] = "welch_two_sided"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(summary, fh)
+        assert main(["compare", dir_a, dir_b]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_compare_missing_dir_fails(self, tmp_path):
         assert main(["compare", str(tmp_path / "none_a"), str(tmp_path / "none_b")]) == 1
@@ -164,7 +202,14 @@ class TestCompare:
 
     @pytest.mark.parametrize(
         "body, field",
-        [({"repeats": 2}, "config"), ({"config": {}, "repeats": 2}, "per_run_final"), (5, "summary.json")],
+        [
+            ({"repeats": 2}, "config"),
+            ({"config": {}, "repeats": 2}, "per_run_final"),
+            (5, "summary.json"),
+            ({"config": {}, "per_run_final": [0.5]}, "per_run_final"),
+            ({"config": {}, "per_run_final": [0.5, "0.6"]}, "per_run_final"),
+            ({"config": {}, "per_run_final": "0.5 0.6"}, "per_run_final"),
+        ],
     )
     def test_compare_names_the_directory_and_field(self, tmp_path, capsys, body, field):
         for name in ("a", "b"):
@@ -218,6 +263,15 @@ class TestSynth:
         spec_path.write_text(json.dumps(spec))  # writes NaN, which Python's json reads back
         assert main(["synth", str(spec_path), str(tmp_path / "data")]) == 1
         assert capsys.readouterr().err == "error: hardness must be finite, got nan\n"
+        assert not (tmp_path / "data").exists()
+
+    def test_non_finite_grade_bins_fail(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec = {"num_queries": 4, "docs_per_query": 5, "feature_dim": 3, "seed": 11}
+        spec["grade_bins"] = [0.2, 0.4, 0.6, float("inf")]
+        spec_path.write_text(json.dumps(spec))  # writes Infinity, which Python's json reads back
+        assert main(["synth", str(spec_path), str(tmp_path / "data")]) == 1
+        assert capsys.readouterr().err == "error: grade_bins must be finite, got (0.2, 0.4, 0.6, inf)\n"
         assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize(

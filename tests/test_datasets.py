@@ -1,3 +1,4 @@
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -298,6 +299,20 @@ class TestMakeSynthetic:
         fields = {"num_queries": 5, "docs_per_query": 5, "feature_dim": 3, "seed": 3, "hardness": hardness}
         spec = SyntheticSpec.from_dict(fields)
         with pytest.raises(ValueError, match="^hardness must be finite"):
+            spec.make()
+
+    @pytest.mark.parametrize(
+        "grade_bins",
+        [(0.2, 0.4, 0.6, float("inf")), (0.2, 0.4, 0.6, float("nan")), (float("nan"), 0.5, 0.6, 0.7)],
+        ids=["inf last", "nan last", "nan first"],
+    )
+    def test_non_finite_grade_bins_rejected(self, grade_bins):
+        # These once graded 3 x 20 documents [12 12 12 24 0] and [30 6 6 18 0]: no grade 4 at all.
+        with pytest.raises(ValueError, match="^" + re.escape(f"grade_bins must be finite, got {grade_bins!r}") + "$"):
+            make_synthetic(3, 20, 3, 1, grade_bins=grade_bins)
+        fields = {"num_queries": 3, "docs_per_query": 20, "feature_dim": 3, "seed": 1, "grade_bins": list(grade_bins)}
+        spec = SyntheticSpec.from_dict(fields)
+        with pytest.raises(ValueError, match="^grade_bins must be finite"):
             spec.make()
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from oltrsim import experiments
 from oltrsim.datasets import make_synthetic, write_letor
-from oltrsim.evaluation import evaluate_heldout
+from oltrsim.evaluation import evaluate_heldout, welch_t_test
 from oltrsim.experiments import (
     BUNDLED_SYNTHETIC,
     PAPER_ARMS,
@@ -23,8 +23,8 @@ from oltrsim.experiments import (
     SyntheticSpec,
     arm_config,
     checkpoint_schedule,
+    compare_results,
     emit_outputs,
-    load_baseline,
     load_config_dataset,
     read_summary,
     read_trace_csv,
@@ -113,7 +113,6 @@ class TestConfig:
             ("output_dir", True),
             ("output_dir", 5),
             ("output_dir", None),
-            ("baseline_dir", []),
             ("train_path", 5),
             ("test_path", ["test.txt"]),
         ],
@@ -342,12 +341,12 @@ def spy_on_runs(monkeypatch) -> list:
     return started
 
 
-def baseline_summary(config: ExperimentConfig, finals) -> dict:
-    """A summary.json body comparable with ``config``, with ``per_run_final`` set to ``finals`` (None: absent)."""
-    summary = summarize(config, [RunResult(i, i, config.config_hash(), None, 0.5) for i in range(2)])
-    summary.pop("per_run_final")
-    if finals is not None:
-        summary["per_run_final"] = finals
+def write_summary(directory, config: ExperimentConfig, finals) -> dict:
+    """Write into ``directory`` the summary.json of runs of ``config`` whose finals are ``finals``."""
+    summary = summarize(config, [RunResult(i, i, config.config_hash(), None, v) for i, v in enumerate(finals)])
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, "summary.json"), "w", encoding="utf-8") as fh:
+        json.dump(summary, fh)
     return summary
 
 
@@ -421,61 +420,26 @@ class TestRunExperiment:
         assert summary["per_run_final"] == finals
 
     def test_baseline_comparison_block(self, tmp_path):
-        base_config = tiny_config(repeats=3, output_dir=str(tmp_path / "base"))
-        base_results, base_summary = run_experiment(base_config, workers=1)
-        emit_outputs(base_results, base_summary, base_config.output_dir)
-
-        config = tiny_config(repeats=3, base_seed=99, baseline_dir=base_config.output_dir)
-        _, summary = run_experiment(config, workers=1)
-        assert "baseline" in summary
-        assert 0.0 <= summary["baseline"]["p_value"] <= 1.0
-
-    def test_baseline_read_once_before_the_runs(self, tmp_path, monkeypatch):
-        base_config = tiny_config(output_dir=str(tmp_path / "base"))
-        base_results, base_summary = run_experiment(base_config, workers=1)
-        emit_outputs(base_results, base_summary, base_config.output_dir)
-        run = experiments.run_with_dataset
-
-        def remove_baseline_then_run(config, run_index, data):
-            summary_path = os.path.join(base_config.output_dir, "summary.json")
-            if os.path.exists(summary_path):
-                os.remove(summary_path)
-            return run(config, run_index, data)
-
-        monkeypatch.setattr(experiments, "run_with_dataset", remove_baseline_then_run)
-        config = tiny_config(base_seed=99, baseline_dir=base_config.output_dir)
-        _, summary = run_experiment(config, workers=1)
-        assert not os.path.exists(os.path.join(base_config.output_dir, "summary.json"))
-        assert summary["baseline"]["mean"] == base_summary["final_ndcg_mean"]
+        dirs = []
+        for base_seed in (17, 99):
+            config = tiny_config(repeats=3, base_seed=base_seed, output_dir=str(tmp_path / str(base_seed)))
+            emit_outputs(*run_experiment(config, workers=1), config.output_dir)
+            dirs.append(config.output_dir)
+        finals = [read_summary(d)["per_run_final"] for d in dirs]
+        t, p = welch_t_test(*finals)
+        expected = {"mean_a": np.mean(finals[0]), "n_a": 3, "mean_b": np.mean(finals[1]), "n_b": 3, "t": t, "p": p}
+        assert compare_results(*dirs) == expected
+        assert 0.0 <= p <= 1.0
 
     def test_baseline_with_another_horizon_rejected(self, tmp_path):
-        base_config = tiny_config(repeats=3, output_dir=str(tmp_path / "base"))
-        base_results, base_summary = run_experiment(base_config, workers=1)
-        emit_outputs(base_results, base_summary, base_config.output_dir)
-
-        config = tiny_config(repeats=3, impressions=80, baseline_dir=base_config.output_dir)
-        with pytest.raises(ValueError, match="impressions") as raised:
-            load_baseline(config)
-        assert "checkpoint_schedule" in str(raised.value)
-        with pytest.raises(ValueError, match="impressions"):
-            run_experiment(config, workers=1)
-
-    def test_single_repeat_with_baseline_refused_before_any_run(self, tmp_path, monkeypatch):
-        (tmp_path / "summary.json").write_text(json.dumps(baseline_summary(tiny_config(), [0.5, 0.6])))
-        started = spy_on_runs(monkeypatch)
-        config = tiny_config(repeats=1, baseline_dir=str(tmp_path))
-        with pytest.raises(ValueError, match="^a baseline_dir needs repeats >= 2 for the Welch test, got 1$"):
-            run_experiment(config, workers=1)
-        assert started == []
-
-    @pytest.mark.parametrize("finals", [None, [0.5], [0.5, "0.6"], "0.5 0.6"])
-    def test_baseline_without_two_finals_refused_before_any_run(self, tmp_path, monkeypatch, finals):
-        summary = baseline_summary(tiny_config(), finals)
-        (tmp_path / "summary.json").write_text(json.dumps(summary))
-        started = spy_on_runs(monkeypatch)
-        with pytest.raises(ValueError, match="per_run_final must list at least 2 numbers"):
-            run_experiment(tiny_config(baseline_dir=str(tmp_path)), workers=1)
-        assert started == []
+        write_summary(tmp_path / "a", tiny_config(), [0.5, 0.6])
+        write_summary(tmp_path / "b", tiny_config(impressions=80), [0.5, 0.6])
+        with pytest.raises(ValueError) as raised:
+            compare_results(tmp_path / "a", tmp_path / "b")
+        assert str(raised.value) == (
+            f"cannot compare a: {tmp_path / 'a'} with b: {tmp_path / 'b'}: impressions is 40 in a, 80 in b; "
+            f"checkpoint_schedule is {checkpoint_schedule(40, 5)!r} in a, {checkpoint_schedule(80, 5)!r} in b"
+        )
 
     @pytest.mark.parametrize(
         "body, message",
@@ -491,32 +455,30 @@ class TestRunExperiment:
         (tmp_path / "summary.json").write_text(json.dumps(body))
         path = os.path.join(str(tmp_path), "summary.json")
         with pytest.raises(ValueError, match="^" + re.escape(path) + message):
-            load_baseline(tiny_config(baseline_dir=str(tmp_path)))
+            compare_results(str(tmp_path), str(tmp_path))
         with pytest.raises(ValueError, match="^" + re.escape(path) + message):
             read_summary(tmp_path)
 
     @pytest.mark.parametrize("recorded, comparable", [(False, False), (None, True), (True, True)])
     def test_baseline_normalize_checked_against_the_policy(self, tmp_path, recorded, comparable):
-        # Files are normalized per query; a baseline that recorded otherwise trained on other data.
+        # Files are normalized per query; a summary that recorded otherwise trained on other data.
         config = tiny_config(synthetic=None, train_path="train.txt", test_path="test.txt")
-        summary = baseline_summary(config, [0.5, 0.6])
+        write_summary(tmp_path / "a", config, [0.5, 0.6])
+        summary = write_summary(tmp_path / "b", config, [0.5, 0.6])
         summary["config"]["normalize"] = recorded
-        (tmp_path / "summary.json").write_text(json.dumps(summary))
-        config.baseline_dir = str(tmp_path)
+        (tmp_path / "b" / "summary.json").write_text(json.dumps(summary))
         if comparable:
-            assert load_baseline(config)["per_run_final"] == [0.5, 0.6]
+            assert compare_results(tmp_path / "a", tmp_path / "b")["n_b"] == 2
         else:
-            with pytest.raises(ValueError, match="normalize is False there, True here"):
-                load_baseline(config)
+            with pytest.raises(ValueError, match=": normalize is True in a, False in b$"):
+                compare_results(tmp_path / "a", tmp_path / "b")
 
     def test_bundled_dbgd_config_compares_with_pdgd_results(self, tmp_path):
-        pdgd = ExperimentConfig.from_json_file(os.path.join(CONFIGS_DIR, "pdgd_perfect.json"))
-        results = [RunResult(i, i, pdgd.config_hash(), None, 0.5 + 0.1 * i) for i in range(3)]
-        summary = summarize(pdgd, results)
-        (tmp_path / "summary.json").write_text(json.dumps(summary))
-        dbgd = ExperimentConfig.from_json_file(os.path.join(CONFIGS_DIR, "dbgd_perfect.json"))
-        dbgd.baseline_dir = str(tmp_path)
-        assert load_baseline(dbgd)["per_run_final"] == summary["per_run_final"]
+        for name, finals in (("pdgd_perfect", [0.5, 0.6, 0.7]), ("dbgd_perfect", [0.4, 0.5])):
+            config = ExperimentConfig.from_json_file(os.path.join(CONFIGS_DIR, f"{name}.json"))
+            write_summary(tmp_path / name, config, finals)
+        test = compare_results(tmp_path / "pdgd_perfect", tmp_path / "dbgd_perfect")
+        assert (test["n_a"], test["n_b"]) == (3, 2)
 
 
 class TestEmitOutputs:
@@ -539,7 +501,16 @@ class TestEmitOutputs:
         _, _, paths = emitted
         with open(paths["summary"]) as fh:
             summary = json.load(fh)
-        assert summary["significance_test"] == "welch_two_sided"
+        assert set(summary) == {
+            "config",
+            "config_hash",
+            "repeats",
+            "final_ndcg_mean",
+            "final_ndcg_std",
+            "per_run_final",
+            "per_run_seed",
+            "checkpoint_schedule",
+        }
         assert len(summary["per_run_final"]) == summary["repeats"]
 
     def test_trace_csv_reads_back(self, emitted):
