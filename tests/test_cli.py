@@ -209,6 +209,7 @@ class TestCompare:
             ({"config": {}, "per_run_final": [0.5]}, "per_run_final"),
             ({"config": {}, "per_run_final": [0.5, "0.6"]}, "per_run_final"),
             ({"config": {}, "per_run_final": "0.5 0.6"}, "per_run_final"),
+            ({"config": {}, "per_run_final": None}, "per_run_final"),
         ],
     )
     def test_compare_names_the_directory_and_field(self, tmp_path, capsys, body, field):

@@ -149,6 +149,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"^unknown config fields: \['normalize'\]$"):
             ExperimentConfig.from_dict(data)
 
+    def test_baseline_dir_is_an_unknown_field(self):
+        # Result sets are compared with compare_results, after both exist.
+        for value in ("results/dbgd", [], None):
+            data = {**tiny_config().to_dict(), "synthetic": asdict(TINY_SYNTH), "baseline_dir": value}
+            with pytest.raises(ValueError, match=r"^unknown config fields: \['baseline_dir'\]$"):
+                ExperimentConfig.from_dict(data)
+
     def test_empty_synthetic_spec_refused(self):
         with pytest.raises(
             ValueError,
