@@ -24,19 +24,36 @@ from oltrsim.experiments import PAPER_ARMS, arm_config, compare_results, emit_ou
 REFERENCE = "dbgd_prob_perfect"
 
 
+def _count_at_least(minimum: int):
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+
+    return count
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results/comparison", help="output root directory")
-    parser.add_argument("--impressions", type=int, default=20000)
-    parser.add_argument("--repeats", type=int, default=25)
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--impressions", type=_count_at_least(1), default=20000)
+    parser.add_argument("--repeats", type=_count_at_least(2), default=25, help="runs per arm, at least 2 for the Welch test")
+    parser.add_argument("--workers", type=_count_at_least(1), default=None)
     args = parser.parse_args()
 
+    out_dirs = {name: os.path.join(args.out, name) for name in PAPER_ARMS}
+    # Made before the first arm runs, so that an output path that cannot be a
+    # directory fails at once and not after every arm.
+    for out_dir in out_dirs.values():
+        os.makedirs(out_dir, exist_ok=True)
+
     finals = {}
-    for name in PAPER_ARMS:
-        config = arm_config(
-            name, impressions=args.impressions, repeats=args.repeats, output_dir=os.path.join(args.out, name)
-        )
+    for name, out_dir in out_dirs.items():
+        config = arm_config(name, impressions=args.impressions, repeats=args.repeats, output_dir=out_dir)
         start = time.time()
         results, summary = run_experiment(config, workers=args.workers)
         emit_outputs(results, summary, config.output_dir)
@@ -51,7 +68,7 @@ def main() -> int:
         if name == REFERENCE:
             verdict = "-"
         else:
-            test = compare_results(os.path.join(args.out, name), os.path.join(args.out, REFERENCE))
+            test = compare_results(out_dirs[name], out_dirs[REFERENCE])
             verdict = f"t={test['t']:+.2f}, p={test['p']:.1e}"
         print(f"{name:22s} {values.mean():8.4f} {values.std(ddof=1):8.4f} {verdict:>22s}")
     print(f"\noutputs under {args.out}/<arm>/")

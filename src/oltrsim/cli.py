@@ -18,6 +18,7 @@ LETOR test file is parsed in a forked process beside train.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -34,9 +35,30 @@ from .experiments import (
 )
 
 
+def _make_output_dir(path: str) -> list[str]:
+    """Create ``path`` and its missing parents; return the ones made, deepest first."""
+    made = []
+    current = os.path.abspath(path)
+    while not os.path.exists(current):
+        made.append(current)
+        current = os.path.dirname(current)
+    os.makedirs(path, exist_ok=True)
+    return made
+
+
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_json_file(args.config)
-    results, summary = run_experiment(config, workers=args.workers)
+    config.validate()  # before anything is made on disk
+    # Made before the runs, so that an output path that cannot be a directory
+    # fails at once and not after every run; removed again if the runs fail.
+    made = _make_output_dir(config.output_dir)
+    try:
+        results, summary = run_experiment(config, workers=args.workers)
+    except BaseException:
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
     paths = emit_outputs(results, summary, config.output_dir)
     print(
         f"{config.algorithm} ({config.click_model}"

@@ -1,11 +1,14 @@
-"""Ranking quality metrics and statistical comparison of run outcomes."""
+"""Ranking quality metrics and statistical comparison of run outcomes.
+
+Only :func:`welch_t_test` needs scipy, and it imports ``scipy.special``
+when it is called: runs, which evaluate but never compare, load no scipy.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .datasets import Query
 from .ranking import LinearRanker, rank_deterministic
@@ -93,7 +96,8 @@ def welch_t_test(a, b) -> tuple[float, float]:
 
     Returns ``(t_statistic, p_value)``.  Degenerate zero-variance inputs
     yield ``t = 0, p = 1`` for equal means and ``t = ±inf, p = 0``
-    otherwise.
+    otherwise.  For other inputs ``p`` is ``2 * stdtr(dof, -|t|)`` capped
+    at 1, the same float as ``2 * scipy.stats.t.sf(|t|, dof)``.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -109,5 +113,8 @@ def welch_t_test(a, b) -> tuple[float, float]:
         return float(np.copysign(np.inf, diff)), 0.0
     t = diff / np.sqrt(denom_sq)
     dof = denom_sq**2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
-    p = 2.0 * float(stats.t.sf(abs(t), dof))
+    # Imported here so that runs, which never compare, load no scipy.
+    from scipy.special import stdtr
+
+    p = 2.0 * float(stdtr(dof, -abs(t)))
     return float(t), min(p, 1.0)

@@ -26,6 +26,10 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path, config
 
 
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("run_experiment was called")
+
+
 class TestRun:
     def test_run_writes_outputs(self, tmp_path, capsys):
         config_path, config = write_config(tmp_path)
@@ -99,6 +103,26 @@ class TestRun:
         assert main(["run", str(config_path), "--workers", "1"]) == 1
         assert capsys.readouterr().err == "error: unknown config fields: ['baseline_dir']\n"
         assert os.listdir(tmp_path) == [config_path.name]
+
+    def test_output_dir_that_cannot_be_made_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "notadir").write_text("")
+        out_dir = str(tmp_path / "notadir" / "out")
+        config_path, _ = write_config(tmp_path, output_dir=out_dir)
+        monkeypatch.setattr("oltrsim.cli.run_experiment", _fail_if_called)
+        assert main(["run", str(config_path), "--workers", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"Not a directory: {out_dir!r}" in err
+
+    def test_output_dirs_made_for_failed_runs_are_removed(self, tmp_path, capsys, monkeypatch):
+        # Only the directories this run made go; the existing parent stays.
+        (tmp_path / "kept").mkdir()
+        config_path, _ = write_config(tmp_path, output_dir=str(tmp_path / "kept" / "new" / "out"))
+        monkeypatch.setattr("oltrsim.cli.run_experiment", _fail_if_called)
+        assert main(["run", str(config_path), "--workers", "1"]) == 1
+        assert capsys.readouterr().err == "error: run_experiment was called\n"
+        assert sorted(os.listdir(tmp_path)) == sorted([config_path.name, "kept"])
+        assert os.listdir(tmp_path / "kept") == []
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_bad_dataset_line_names_the_file(self, tmp_path, capsys, workers):

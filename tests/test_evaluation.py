@@ -140,6 +140,26 @@ class TestWelch:
         assert t == pytest.approx(ref.statistic, abs=1e-12)
         assert p == pytest.approx(ref.pvalue, abs=1e-12)
 
+    def test_p_is_scipys_t_sf_exactly(self):
+        # Side sizes 2-30 (with the battery's 25 vs 25), unequal variances and
+        # mean shifts that take p from about 1 to below 1e-300, compared with
+        # == so that any other tail function shows.
+        rng = np.random.default_rng(1302)
+        p_values = []
+        for na, nb in [(2, 2), (2, 30), (3, 7), (5, 5), (10, 4), (17, 2), (25, 25), (30, 30)]:
+            for scale_b in (0.05, 1.0, 20.0):
+                for shift in [0.0, *10.0 ** np.arange(-3, 12, 0.25)]:
+                    a = rng.normal(0.0, 1.0, size=na)
+                    b = rng.normal(shift, scale_b, size=nb)
+                    t, p = welch_t_test(a, b)
+                    va = a.var(ddof=1) / a.size
+                    vb = b.var(ddof=1) / b.size
+                    dof = (va + vb) ** 2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
+                    assert p == min(1.0, 2 * stats.t.sf(abs(t), dof)), (na, nb, scale_b, shift)
+                    p_values.append(p)
+        assert max(p_values) > 0.99
+        assert 0.0 < min(p for p in p_values if p > 0.0) < 1e-300
+
     def test_degenerate_zero_variance(self):
         t, p = welch_t_test([1.0, 1.0], [1.0, 1.0])
         assert (t, p) == (0.0, 1.0)
