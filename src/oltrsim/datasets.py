@@ -13,7 +13,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import get_context
@@ -141,18 +141,13 @@ def _check_utf8(line: str) -> None:
         raise ValueError(f"not UTF-8 text ({exc.reason})") from None
 
 
-def parse_letor(path: str | os.PathLike) -> tuple[list[Query], int]:
-    """Parse a LETOR/SVMlight file into queries grouped by qid, in one pass.
+def _letor_arrays(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], int]:
+    """The rows of a LETOR file as arrays: ``(features, grades, counts, qids, dim)``.
 
-    Documents keep file order within each query; queries are ordered by
-    first appearance.  Returns ``(queries, feature_dim)`` where the
-    dimension is the largest feature id seen; :func:`load_dataset` pads
-    the narrower of a train/test pair to the wider one's width.
-
-    Rows go straight into arrays preallocated from a count of line breaks.
-    A bad file raises ``<path>: line N: ...`` for its first bad line, lines
-    counted as text reading counts them; bytes that are not UTF-8 fail the
-    line that holds them.
+    ``features`` is one C-contiguous ``(n_docs, dim)`` float64 buffer of
+    exactly the rows read, grouped by query in order of first appearance;
+    ``counts[i]`` is the number of documents of query ``qids[i]``.  Raises
+    the errors :func:`parse_letor` documents.
     """
     with open(path, "rb") as fh:
         chunks = iter(lambda: fh.read(1 << 20), b"")
@@ -196,17 +191,47 @@ def parse_letor(path: str | os.PathLike) -> tuple[list[Query], int]:
         raise ValueError(f"{path}: no documents found")
     if max_fid < 1:
         raise ValueError(f"{path}: could not infer a feature dimension")
-    features, grades, owners = np.ascontiguousarray(features[:n, :max_fid]), grades[:n], owners[:n]
-
+    # The capacity counts every \r and \n, so blank lines, comments and each
+    # \r\n leave unused rows.  Cut them off before any view exists: in place
+    # when the width is exact, as it is for files that list every feature id.
+    if features.shape[1] == max_fid:
+        features.resize((n, max_fid), refcheck=False)
+    else:
+        features = features[:n, :max_fid].copy()
+    grades.resize(n, refcheck=False)
+    owners = owners[:n]
     if np.any(owners[1:] < owners[:-1]):  # a query's documents are not contiguous: gather them
         order = np.argsort(owners, kind="stable")
-        features, grades, owners = features[order], grades[order], owners[order]
-    ends = np.cumsum(np.bincount(owners))
-    starts = ends - np.bincount(owners)
+        features, grades = features[order], grades[order]
+    return features, grades, np.bincount(owners), list(qids), max_fid
+
+
+def _queries(features: np.ndarray, grades: np.ndarray, counts: np.ndarray, qids: list[str]) -> list[Query]:
+    """The queries of :func:`_letor_arrays`'s result, as views of its arrays."""
+    ends = np.cumsum(counts)
     return [
-        Query(qid=qid, features=features[a:b], relevance=grades[a:b])
-        for qid, a, b in zip(qids, starts, ends)
-    ], max_fid
+        Query(qid=qid, features=features[end - count:end], relevance=grades[end - count:end])
+        for qid, count, end in zip(qids, counts, ends)
+    ]
+
+
+def parse_letor(path: str | os.PathLike) -> tuple[list[Query], int]:
+    """Parse a LETOR/SVMlight file into queries grouped by qid, in one pass.
+
+    Documents keep file order within each query; queries are ordered by
+    first appearance.  Returns ``(queries, feature_dim)`` where the
+    dimension is the largest feature id seen; :func:`load_dataset` pads
+    the narrower of a train/test pair to the wider one's width.
+
+    Rows go straight into one array preallocated from a count of line
+    breaks and cut to the rows read; every query's features and grades
+    are views of it, so the file's features are held once.  A bad file
+    raises ``<path>: line N: ...`` for its first bad line, lines counted
+    as text reading counts them; bytes that are not UTF-8 fail the line
+    that holds them.
+    """
+    features, grades, counts, qids, dim = _letor_arrays(path)
+    return _queries(features, grades, counts, qids), dim
 
 
 def write_letor(queries: list[Query], path: str | os.PathLike) -> None:
@@ -224,19 +249,27 @@ def write_letor(queries: list[Query], path: str | os.PathLike) -> None:
 
 
 def normalize_query_level(queries: list[Query]) -> list[Query]:
-    """Min-max normalize each feature to [0, 1] within each query.
+    """Min-max normalize each feature to [0, 1] within each query, in place.
 
-    A feature that is constant within a query maps to 0.  Idempotent.
+    Overwrites each query's features and returns the same queries, so a
+    loaded file's features stay one array.  A feature that is constant
+    within a query maps to 0.  Idempotent.  ``x -= lo``, ``x /= span``
+    (1 for a constant column) and writing 0 over the constant columns,
+    where ``x - lo`` may be -0.0, are, element for element, the operations
+    of ``np.where(span > 0, (x - lo) / span, 0.0)``, so the values are
+    bit-identical to normalizing into a copy.
     """
-    out = []
     for q in queries:
-        lo = q.features.min(axis=0)
-        hi = q.features.max(axis=0)
-        span = hi - lo
-        safe = np.where(span > 0, span, 1.0)
-        normalized = np.where(span > 0, (q.features - lo) / safe, 0.0)
-        out.append(Query(qid=q.qid, features=normalized, relevance=q.relevance.copy()))
-    return out
+        x = q.features
+        lo = x.min(axis=0)
+        span = x.max(axis=0) - lo
+        if np.isinf(span).any():  # finite values whose range overflows would normalize to NaN
+            raise ValueError(f"query {q.qid}: non-finite feature value")
+        varies = span > 0
+        x -= lo
+        x /= np.where(varies, span, 1.0)
+        x[:, ~varies] = 0.0
+    return queries
 
 
 def sample_query(dataset: Dataset, rng: np.random.Generator) -> Query:
@@ -320,32 +353,106 @@ def _zero_pad(queries: list[Query], dim: int) -> list[Query]:
 
 
 # With more than one worker, a test file of at least this size is parsed in
-# one forked process while this one parses train.  Forking and returning the
+# one forked process while this one parses train.  Forking and sending the
 # rows cost about 10 ms, as long as parsing ~450 KiB of a 136-feature file.
 _MIN_FORK_BYTES = 1 << 19
 
 
-def _parse_forked(path: str | os.PathLike) -> tuple[list[Query], int]:
-    """:func:`parse_letor`, under a name the pool pickles that stays bound
-    when a tracer (``bench/tracer.py``) rebinds ``parse_letor`` to a closure."""
-    return parse_letor(path)
+def _write_all(fd: int, data) -> None:
+    """Write every byte of ``data`` to ``fd``, however many writes the pipe takes."""
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_into(pipe, buffer, path: str | os.PathLike) -> None:
+    """Fill ``buffer`` from ``pipe``; the pipe closing first means the child died."""
+    view = memoryview(buffer).cast("B")
+    while view:
+        got = pipe.readinto(view)
+        if not got:
+            raise RuntimeError(f"{path}: the forked parse ended before sending its rows")
+        view = view[got:]
+
+
+def _send_rows(path: str | os.PathLike, fd: int) -> None:
+    """In the forked child: parse ``path`` and write its rows, or its error, to the pipe ``fd``.
+
+    A length-prefixed pickled header (the features' shape, grades, counts,
+    qids and width, or the exception) comes first, then the raw feature
+    bytes straight from the parse buffer.
+    """
+    try:
+        features, *rest = _letor_arrays(path)
+        header = (features.shape, *rest)
+    except Exception as exc:
+        features, header = None, exc
+    blob = pickle.dumps(header)
+    _write_all(fd, len(blob).to_bytes(8, "little") + blob)
+    if features is not None:
+        _write_all(fd, features)
+    os.close(fd)
+
+
+def _receive_rows(pipe, path: str | os.PathLike) -> tuple[list[Query], int]:
+    """Read what :func:`_send_rows` wrote: :func:`parse_letor`'s result, or raise its error."""
+    prefix = bytearray(8)
+    _read_into(pipe, prefix, path)
+    blob = bytearray(int.from_bytes(prefix, "little"))
+    _read_into(pipe, blob, path)
+    header = pickle.loads(blob)
+    if isinstance(header, Exception):
+        raise header
+    shape, grades, counts, qids, dim = header
+    features = np.empty(shape)
+    _read_into(pipe, features, path)
+    return _queries(features, grades, counts, qids), dim
+
+
+@contextlib.contextmanager
+def _forked_parse(path: str | os.PathLike):
+    """Parse ``path`` in a forked process; yields a function that returns its :func:`parse_letor` result.
+
+    The rows come back through a pipe and are read straight into the
+    features array, which is their only copy in this process.  If the body
+    raises (a bad train line), the child is terminated at once; it is
+    joined on every path.
+    """
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb", buffering=0) as pipe:
+        child = get_context("fork").Process(target=_send_rows, args=(path, write_fd))
+        try:
+            child.start()
+        finally:
+            os.close(write_fd)  # the child's copy is now the only write end
+        try:
+            yield partial(_receive_rows, pipe, path)
+        except BaseException:
+            child.terminate()
+            raise
+        finally:
+            pipe.close()  # a child still writing then fails instead of blocking the join
+            child.join()
 
 
 def load_dataset(train_path: str | os.PathLike, test_path: str | os.PathLike, workers: int = 1) -> Dataset:
     """Load a train/test pair of LETOR files, min-max normalized per query.
 
-    Each file is parsed once (:func:`parse_letor`).  With ``workers`` > 1
-    and a test file of at least 512 KiB, one forked process parses the test
-    file while this one parses train; either way a bad train line is
-    reported before a bad test line.  The split with fewer features is
-    zero-padded to the other's width, and then every feature is normalized
-    within each query (:func:`normalize_query_level`), as LETOR 4.0's
-    QueryLevelNorm files are.
+    Each file is parsed once, train by :func:`parse_letor`.  With
+    ``workers`` > 1 and a test file of at least 512 KiB, one forked process
+    parses the test file while this one parses train, and sends the rows
+    back through a pipe straight into their array; otherwise this process
+    parses test after train.  A bad train line is reported before any test
+    line, and stops the forked parse at once.  The split with fewer
+    features is zero-padded to the other's width, and then every feature
+    is normalized within each query, in place
+    (:func:`normalize_query_level`), as LETOR 4.0's QueryLevelNorm files
+    are.  Each split's features are thus held once, from the parse through
+    the runs: in one float64 array, unless the split was padded.
     """
     # A missing test file forks nothing, so parse_letor reports it after train's errors.
     fork = workers > 1 and os.path.isfile(test_path) and os.path.getsize(test_path) >= _MIN_FORK_BYTES
-    with ProcessPoolExecutor(1, mp_context=get_context("fork")) if fork else contextlib.nullcontext() as pool:
-        parse_test = pool.submit(_parse_forked, test_path).result if fork else partial(parse_letor, test_path)
+    with _forked_parse(test_path) if fork else contextlib.nullcontext(partial(parse_letor, test_path)) as parse_test:
         train, dim_train = parse_letor(train_path)
         test, dim_test = parse_test()
     dim = max(dim_train, dim_test)

@@ -340,6 +340,18 @@ def reference_parse_letor(path, feature_dim=None):
     return queries, dim
 
 
+def reference_normalize_query_level(features):
+    """One query's features min-max normalized per column into a new array.
+
+    The out-of-place formula: ``(x - lo) / span`` where the column varies
+    and 0 where it is constant.
+    """
+    lo = features.min(axis=0)
+    span = features.max(axis=0) - lo
+    safe = np.where(span > 0, span, 1.0)
+    return np.where(span > 0, (features - lo) / safe, 0.0)
+
+
 def reference_infer_pairwise_preferences(clicks):
     """(clicked, unclicked) display-position pairs as a list, as PDGD first inferred them.
 

@@ -1,5 +1,9 @@
+import multiprocessing
+import os
 import re
-from concurrent.futures import ProcessPoolExecutor
+import time
+from multiprocessing import get_context
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from oltrsim.evaluation import evaluate_heldout
 from oltrsim.experiments import SyntheticSpec
 from oltrsim.ranking import LinearRanker
 
-from _oracles import reference_parse_letor, synthetic_generating_weights
+from _oracles import reference_normalize_query_level, reference_parse_letor, synthetic_generating_weights
 
 
 def write_tmp(tmp_path, text, name="data.txt"):
@@ -222,11 +226,34 @@ class TestNormalize:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 8))
         q = Query(qid="1", features=rng.normal(scale=100.0, size=(n, 4)), relevance=rng.integers(0, 5, size=n))
-        once = normalize_query_level([q])
-        twice = normalize_query_level(once)
-        assert np.array_equal(once[0].features, twice[0].features)
-        assert once[0].features.min() >= 0.0
-        assert once[0].features.max() <= 1.0
+        once = normalize_query_level([q])[0].features.copy()  # the next call overwrites it in place
+        twice = normalize_query_level([q])[0].features
+        assert np.array_equal(once, twice)
+        assert once.min() >= 0.0
+        assert once.max() <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+    def test_in_place_equals_the_out_of_place_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        queries, expected = [], []
+        for i in range(int(rng.integers(1, 5))):
+            n = int(rng.integers(1, 6))  # single-document queries included: every column constant
+            features = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n, 5))
+            features[:, rng.random(5) < 0.4] = rng.normal()  # constant columns
+            features[:, 0] = rng.choice([0.0, -0.0], size=n)  # constant too: x - lo may be -0.0
+            expected.append(reference_normalize_query_level(features))
+            queries.append(Query(qid=str(i), features=features, relevance=rng.integers(0, 5, size=n)))
+        out = normalize_query_level(queries)
+        assert len(out) == len(queries) and all(a is b for a, b in zip(out, queries))
+        for q, want in zip(out, expected):
+            assert q.features.tobytes() == want.tobytes()  # bit for bit, signs of zeros included
+
+    def test_range_that_overflows_rejected(self):
+        q = Query(qid="7", features=np.array([[1e308], [-1e308]]), relevance=[0, 1])
+        with pytest.raises(ValueError, match="^query 7: non-finite feature value$"):
+            with np.errstate(over="ignore"):
+                normalize_query_level([q])
 
 
 class TestSampleQuery:
@@ -406,6 +433,14 @@ class TestWorkerCountInvariance:
         train, test = self.write_pair(tmp_path, text, text.replace("qid:", "qid:t"))
         data = self.assert_invariant(train, test)
         assert [q.n_docs for q in data.train] == [4, 5]
+        # Each split's features are one buffer of exactly its rows, however
+        # many line breaks, blank lines and comments the file has.
+        for workers in (1, 2):
+            data = load_dataset(train, test, workers=workers)
+            for split in (data.train, data.test):
+                (buffer,) = {id(q.features.base): q.features.base for q in split}.values()
+                assert buffer.flags.owndata
+                assert buffer.nbytes == sum(q.n_docs for q in split) * data.feature_dim * 8
         # A \r\n counts once and a lone \r is a break, as in universal-newline text reading.
         self.write_pair(tmp_path, text + f"1 qid:3 1:x{newline}", text)
         self.assert_same_error(train, test, f"{train}: line 12: malformed feature token '1:x'")
@@ -461,22 +496,62 @@ class TestWorkerCountInvariance:
 
     def test_small_file_forks_nothing(self, tmp_path, monkeypatch):
         monkeypatch.undo()  # the real fork floor
-        pools = []
+        children = []
 
-        class SpyPool(ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                pools.append((max_workers, kwargs["mp_context"].get_start_method()))
-                super().__init__(max_workers, **kwargs)
+        def spy_context(method):
+            context = get_context(method)
 
-        monkeypatch.setattr(datasets, "ProcessPoolExecutor", SpyPool)
+            def process(*args, **kwargs):
+                child = context.Process(*args, **kwargs)
+                children.append((context.get_start_method(), child))
+                return child
+
+            return SimpleNamespace(Process=process)
+
+        monkeypatch.setattr(datasets, "get_context", spy_context)
         lines = _dense_query("1", 300, 136, seed=12)
         train, test = self.write_pair(tmp_path, _rows(lines[:2]), _rows(lines[:150]))
         assert 0.4 < test.stat().st_size / (1 << 19) < 1
         assert load_dataset(train, test, workers=5).feature_dim == 136
-        assert pools == []
+        assert children == []
         self.write_pair(tmp_path, _rows(lines[:2]), _rows(lines))  # past 512 KiB one process forks
         assert test.stat().st_size >= 1 << 19
         assert load_dataset(train, test, workers=5).feature_dim == 136
-        assert pools == [(1, "fork")]
+        assert [(method, child.exitcode) for method, child in children] == [("fork", 0)]
         assert load_dataset(train, test, workers=1).feature_dim == 136
-        assert pools == [(1, "fork")]
+        assert len(children) == 1
+
+    def test_bad_train_line_stops_the_forked_parse(self, tmp_path, monkeypatch):
+        lines = _dense_query("1", 6, 3, seed=13)
+        lines[1] = "1 qid:1 1:x"
+        train, test = self.write_pair(tmp_path, _rows(lines), _rows(_dense_query("2", 6, 3, seed=14)))
+        arrays = datasets._letor_arrays
+
+        def slow_test_parse(path):  # the forked child inherits this
+            if path == test:
+                time.sleep(60)
+            return arrays(path)
+
+        monkeypatch.setattr(datasets, "_letor_arrays", slow_test_parse)
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as raised:
+            load_dataset(train, test, workers=2)
+        assert time.perf_counter() - start < 10
+        assert str(raised.value) == f"{train}: line 2: malformed feature token '1:x'"
+        assert multiprocessing.active_children() == []
+
+    def test_no_process_left_running(self, tmp_path, monkeypatch):
+        lines = _dense_query("1", 6, 3, seed=15)
+        train, test = self.write_pair(tmp_path, _rows(lines), _rows(lines[:3] + ["1 qid:1 1:x"]))
+        with pytest.raises(ValueError) as raised:
+            load_dataset(train, test, workers=2)  # the child's error
+        assert str(raised.value) == f"{test}: line 4: malformed feature token '1:x'"
+        assert multiprocessing.active_children() == []
+        self.write_pair(tmp_path, _rows(lines), _rows(lines))
+        assert len(load_dataset(train, test, workers=2).test) == 1
+        assert multiprocessing.active_children() == []
+        arrays = datasets._letor_arrays
+        monkeypatch.setattr(datasets, "_letor_arrays", lambda path: os._exit(3) if path == test else arrays(path))
+        with pytest.raises(RuntimeError, match="^" + re.escape(f"{test}: the forked parse ended before sending its rows") + "$"):
+            load_dataset(train, test, workers=2)
+        assert multiprocessing.active_children() == []

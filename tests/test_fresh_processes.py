@@ -1,7 +1,8 @@
-"""The command line and the comparison script, each in a fresh interpreter.
+"""The command line, the comparison script and a dataset load, each in a fresh interpreter.
 
 pytest's own process imports ``scipy.stats`` for the oracles, so what a
-command loads is only visible from a new process.
+command loads, and how much memory a load adds, is only visible from a
+new process.
 """
 
 import json
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oltrsim
@@ -88,3 +90,50 @@ def test_compare_learners_refuses_bad_counts_before_any_arm(tmp_path, flag, valu
     assert f"argument {flag}: must be an integer >= {minimum}, got '{value}'" in done.stderr
     assert done.stdout == ""
     assert os.listdir(tmp_path) == []
+
+
+# Loads a LETOR pair and prints how much the peak resident set of this
+# process grew over the load, and the bytes of features it holds.  The peak
+# is VmHWM, that of this process image: ru_maxrss would not do, because an
+# exec keeps the peak of the process that ran it, here pytest's.
+LOAD_PEAK = r"""
+import json
+import sys
+
+from oltrsim.datasets import load_dataset
+
+
+def peak_bytes():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+
+train, test, workers = sys.argv[1], sys.argv[2], int(sys.argv[3])
+before = peak_bytes()
+data = load_dataset(train, test, workers)
+grown = peak_bytes() - before
+print(json.dumps({"grown": grown, "features": sum(q.features.nbytes for q in data.train + data.test)}))
+"""
+
+
+def write_wide_letor(path, docs, seed):
+    """``docs`` lines of 136 features in queries of 100 documents, written with ``%.6g``."""
+    rng = np.random.default_rng(seed)
+    row = "%d qid:%d " + " ".join(f"{fid}:%.6g" for fid in range(1, 137)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, values in enumerate(rng.normal(size=(docs, 136))):
+            fh.write(row % (i % 5, i // 100, *values))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_load_holds_one_copy_of_the_features(tmp_path, workers):
+    # A load that copied each split while normalizing, or received the
+    # forked test parse as a pickle, grew the peak by about 1.5x the features.
+    train, test = tmp_path / "train.txt", tmp_path / "test.txt"
+    write_wide_letor(train, 10_000, seed=1)
+    write_wide_letor(test, 10_000, seed=2)
+    done = fresh_python(["-c", LOAD_PEAK, str(train), str(test), str(workers)], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    peak = json.loads(done.stdout)
+    assert peak["features"] == 2 * 10_000 * 136 * 8
+    assert peak["grown"] < 1.25 * peak["features"]
