@@ -12,7 +12,8 @@ schedule differ, naming each such field with both values.
 
 Set ``OLTR_WORKERS`` (or pass ``run --workers``) to override the number of
 worker processes that execute a config's runs; with more than one, a
-LETOR test file is parsed in a forked process beside train.
+LETOR test file of at least 512 KiB is parsed in a forked process beside
+train.
 """
 
 from __future__ import annotations

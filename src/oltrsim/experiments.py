@@ -24,11 +24,14 @@ from . import clicks, datasets, dbgd, pdgd
 from .evaluation import MetricTrace, evaluate_heldout, welch_t_test
 from .ranking import sample_ranking, zero_ranker
 
-DBGD_LEARNING_RATE = 0.001
-PDGD_LEARNING_RATE = 0.1
-
 ALGORITHMS = ("dbgd", "pdgd")
 WORKERS_ENV_VAR = "OLTR_WORKERS"
+
+# Runs follow the standard protocol (Hofmann et al. 2011; Oosterhuis & de
+# Rijke 2018): a top-10 display and the PdgdState / DbgdState defaults, PDGD
+# at learning rate 0.1, DBGD at 0.001 on the unit sphere and probabilistic
+# interleaving at tau = 3.  Configs do not set them; the library API does.
+DISPLAY_CUTOFF = 10
 
 
 _INTEGER = ((int,), "an integer")
@@ -40,9 +43,7 @@ _SYNTHETIC_FIELD_KINDS = {
     "hardness": _NUMBER,
 }
 _CONFIG_FIELD_KINDS = {
-    **dict.fromkeys(("impressions", "repeats", "k", "num_checkpoints", "base_seed"), _INTEGER),
-    **dict.fromkeys(("delta", "tau"), _NUMBER),
-    "learning_rate": ((int, float, type(None)), "a number"),
+    **dict.fromkeys(("impressions", "repeats", "num_checkpoints", "base_seed"), _INTEGER),
     "output_dir": ((str,), "a string"),
     **dict.fromkeys(("train_path", "test_path"), ((str, type(None)), "a string or null")),
 }
@@ -148,10 +149,6 @@ class ExperimentConfig:
     test_path: str | None = None
     impressions: int = 1_000_000
     repeats: int = 125
-    k: int = 10
-    learning_rate: float | None = None  # default: 0.1 pdgd, 0.001 dbgd
-    delta: float = 1.0
-    tau: float = 3.0
     base_seed: int = 1
     num_checkpoints: int = 30
     output_dir: str = "results"
@@ -173,22 +170,12 @@ class ExperimentConfig:
             raise ValueError("impressions must be >= 1")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        # Python's json reads NaN and Infinity as floats; NaN passes "<= 0" tests.
-        for name in ("learning_rate", "delta", "tau"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")
         if self.num_checkpoints < 1:
             raise ValueError("num_checkpoints must be >= 1")
-
-    def resolved_learning_rate(self) -> float:
-        if self.learning_rate is not None:
-            return self.learning_rate
-        return PDGD_LEARNING_RATE if self.algorithm == "pdgd" else DBGD_LEARNING_RATE
+        if not self.output_dir:
+            raise ValueError("config field output_dir must be a non-empty string, got ''")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -256,7 +243,7 @@ class RunResult:
     final_ndcg: float
 
 
-def checkpoint_schedule(impressions: int, num_checkpoints: int = 30) -> list[int]:
+def checkpoint_schedule(impressions: int, num_checkpoints: int) -> list[int]:
     """Impression counts to evaluate at: 0 plus log-spaced points up to the horizon."""
     if impressions < 1:
         raise ValueError("impressions must be >= 1")
@@ -271,8 +258,9 @@ def load_config_dataset(config: ExperimentConfig, workers: int = 1) -> datasets.
     """Materialize the dataset a config refers to.
 
     A synthetic spec's dataset is used as generated; train/test files are
-    parsed (with ``workers`` > 1, test in a forked process beside train)
-    and min-max normalized per query by :func:`datasets.load_dataset`.
+    parsed (with ``workers`` > 1, a test file of at least 512 KiB,
+    ``datasets._MIN_FORK_BYTES``, in a forked process beside train) and
+    min-max normalized per query by :func:`datasets.load_dataset`.
     """
     if config.synthetic is not None:
         return config.synthetic.make()
@@ -289,18 +277,8 @@ def run_with_dataset(config: ExperimentConfig, run_index: int, data: datasets.Da
     config.validate()
     if not data.train or not data.test:
         raise ValueError("experiment dataset needs non-empty train and test splits")
-    if config.algorithm == "dbgd" and config.comparator == dbgd.PROBABILISTIC:
-        # A mass 1 / rank**tau that underflows to 0 leaves the interleaving credit 0 / 0.
-        longest = max(q.n_docs for q in data.train)
-        if float(longest) ** -config.tau == 0.0:
-            raise ValueError(
-                f"tau {config.tau!r} is too large for a train query of {longest} documents: "
-                f"1 / {longest}**tau underflows to 0"
-            )
     seed_value, seed_seq = _run_seed(config, run_index)
     rng = np.random.default_rng(seed_seq)
-    eta = config.resolved_learning_rate()
-    k = config.k
     click_spec = clicks.click_model(config.click_model)
 
     schedule = checkpoint_schedule(config.impressions, config.num_checkpoints)
@@ -309,15 +287,9 @@ def run_with_dataset(config: ExperimentConfig, run_index: int, data: datasets.Da
     trace_ndcg: list[float] = []
 
     if config.algorithm == "pdgd":
-        state = pdgd.PdgdState(ranker=zero_ranker(data.feature_dim), learning_rate=eta)
+        state = pdgd.PdgdState(ranker=zero_ranker(data.feature_dim))
     else:
-        state = dbgd.DbgdState(
-            ranker=zero_ranker(data.feature_dim),
-            learning_rate=eta,
-            sphere_radius=config.delta,
-            comparator=config.comparator,
-            tau=config.tau,
-        )
+        state = dbgd.DbgdState(ranker=zero_ranker(data.feature_dim), comparator=config.comparator)
 
     def record(t: int) -> None:
         # The reported metric is NDCG@10 regardless of the display cutoff.
@@ -330,11 +302,11 @@ def run_with_dataset(config: ExperimentConfig, run_index: int, data: datasets.Da
     for t in range(1, config.impressions + 1):
         query = datasets.sample_query(data, rng)
         if is_pdgd:
-            displayed = sample_ranking(state.ranker, query.features, k, rng)
+            displayed = sample_ranking(state.ranker, query.features, DISPLAY_CUTOFF, rng)
             interaction = clicks.simulate(displayed, query.relevance[displayed], click_spec, rng)
             state = pdgd.pdgd_update(state, query, interaction)
         else:
-            state = dbgd.dbgd_step(state, query, click_spec, rng, k)
+            state = dbgd.dbgd_step(state, query, click_spec, rng, DISPLAY_CUTOFF)
         if t in pending:
             record(t)
 
@@ -392,8 +364,8 @@ def run_experiment(
     workers.  Runs are independent and order-insensitive; the worker count
     (argument, else the ``OLTR_WORKERS`` environment variable, else the CPU
     count) changes only wall-clock time, never results.  With more than one
-    worker, a LETOR test file is parsed in a forked process while this one
-    parses train.
+    worker, a LETOR test file of at least 512 KiB is parsed in a forked
+    process while this one parses train.
     """
     config.validate()
     n_workers = resolve_workers(workers)
