@@ -10,10 +10,9 @@ Subcommands::
 ``compare`` refuses two result sets whose dataset, horizon or checkpoint
 schedule differ, naming each such field with both values.
 
-Set ``OLTR_WORKERS`` (or pass ``run --workers``) to override the number of
-worker processes that execute a config's runs; with more than one, a
-LETOR test file of at least 512 KiB is parsed in a forked process beside
-train.
+``run --workers N`` sets the number of worker processes that execute a
+config's runs (default: the CPUs this process may use); with more than
+one, a LETOR test file is parsed in a forked process beside train.
 """
 
 from __future__ import annotations
@@ -116,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
     p_run.add_argument("config", help="path to the experiment config (JSON)")
-    p_run.add_argument("--workers", type=_worker_count, default=None, help="worker processes (default: OLTR_WORKERS or CPU count)")
+    p_run.add_argument("--workers", type=_worker_count, default=None, help="worker processes (default: the usable CPUs)")
     p_run.set_defaults(func=_cmd_run)
 
     p_plot = sub.add_parser("plot", help="rebuild curve.svg from a result directory")

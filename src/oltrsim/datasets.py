@@ -352,12 +352,6 @@ def _zero_pad(queries: list[Query], dim: int) -> list[Query]:
     return padded
 
 
-# With more than one worker, a test file of at least this size is parsed in
-# one forked process while this one parses train.  Forking and sending the
-# rows cost about 10 ms, as long as parsing ~450 KiB of a 136-feature file.
-_MIN_FORK_BYTES = 1 << 19
-
-
 def _write_all(fd: int, data) -> None:
     """Write every byte of ``data`` to ``fd``, however many writes the pipe takes."""
     view = memoryview(data).cast("B")
@@ -439,20 +433,19 @@ def load_dataset(train_path: str | os.PathLike, test_path: str | os.PathLike, wo
     """Load a train/test pair of LETOR files, min-max normalized per query.
 
     Each file is parsed once, train by :func:`parse_letor`.  With
-    ``workers`` > 1 and a test file of at least 512 KiB, one forked process
-    parses the test file while this one parses train, and sends the rows
-    back through a pipe straight into their array; otherwise this process
-    parses test after train.  A bad train line is reported before any test
-    line, and stops the forked parse at once.  The split with fewer
+    ``workers`` > 1, one forked process parses the test file while this
+    one parses train, and sends the rows back through a pipe straight into
+    their array; with 1 worker, this process parses test after train.
+    The errors do not depend on the worker count: a missing or bad train
+    file is reported before a missing or bad test file, and a bad train
+    line stops the forked parse at once.  The split with fewer
     features is zero-padded to the other's width, and then every feature
     is normalized within each query, in place
     (:func:`normalize_query_level`), as LETOR 4.0's QueryLevelNorm files
     are.  Each split's features are thus held once, from the parse through
     the runs: in one float64 array, unless the split was padded.
     """
-    # A missing test file forks nothing, so parse_letor reports it after train's errors.
-    fork = workers > 1 and os.path.isfile(test_path) and os.path.getsize(test_path) >= _MIN_FORK_BYTES
-    with _forked_parse(test_path) if fork else contextlib.nullcontext(partial(parse_letor, test_path)) as parse_test:
+    with _forked_parse(test_path) if workers > 1 else contextlib.nullcontext(partial(parse_letor, test_path)) as parse_test:
         train, dim_train = parse_letor(train_path)
         test, dim_test = parse_test()
     dim = max(dim_train, dim_test)

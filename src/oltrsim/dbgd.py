@@ -25,8 +25,8 @@ masking the masses anew at every position:
   displayed documents are zero.  For finite masses, ``mass * True`` is
   ``mass`` and ``mass * False`` is ``0.0``, so that copy equals
   ``masses * remaining`` element for element and its running sum is the
-  same.  ``DbgdState`` and the experiment config refuse a non-finite
-  ``tau``, so the masses are finite in ``[0, 1]``.
+  same.  ``DbgdState`` refuses a non-finite ``tau`` (runs use the fixed
+  tau = 3), so the masses are finite in ``[0, 1]``.
 * Credit still sums the remaining masses afresh at each clicked position
   and accumulates the per-position terms in display order.
 """

@@ -25,7 +25,6 @@ from .evaluation import MetricTrace, evaluate_heldout, welch_t_test
 from .ranking import sample_ranking, zero_ranker
 
 ALGORITHMS = ("dbgd", "pdgd")
-WORKERS_ENV_VAR = "OLTR_WORKERS"
 
 # Runs follow the standard protocol (Hofmann et al. 2011; Oosterhuis & de
 # Rijke 2018): a top-10 display and the PdgdState / DbgdState defaults, PDGD
@@ -244,9 +243,17 @@ class RunResult:
 
 
 def checkpoint_schedule(impressions: int, num_checkpoints: int) -> list[int]:
-    """Impression counts to evaluate at: 0 plus log-spaced points up to the horizon."""
+    """Impression counts to evaluate at: 0 plus log-spaced points up to the horizon, rounded.
+
+    A count so large that neighbouring points lie under one impression
+    apart gives every impression, without building the points.
+    """
     if impressions < 1:
         raise ValueError("impressions must be >= 1")
+    # The points are r**i up to impressions: with r < 1 + 1/impressions every gap is
+    # under one impression.  The 0.1% margin keeps logspace's rounding on the safe side.
+    if (num_checkpoints - 1) * math.log1p(1 / impressions) > 1.001 * math.log(impressions):
+        return list(range(impressions + 1))
     points = {0, impressions}
     if impressions > 1 and num_checkpoints > 1:
         logs = np.logspace(0.0, np.log10(impressions), num_checkpoints)
@@ -258,9 +265,8 @@ def load_config_dataset(config: ExperimentConfig, workers: int = 1) -> datasets.
     """Materialize the dataset a config refers to.
 
     A synthetic spec's dataset is used as generated; train/test files are
-    parsed (with ``workers`` > 1, a test file of at least 512 KiB,
-    ``datasets._MIN_FORK_BYTES``, in a forked process beside train) and
-    min-max normalized per query by :func:`datasets.load_dataset`.
+    parsed (with ``workers`` > 1, the test file in a forked process beside
+    train) and min-max normalized per query by :func:`datasets.load_dataset`.
     """
     if config.synthetic is not None:
         return config.synthetic.make()
@@ -334,23 +340,18 @@ def _pool_run(run_index: int) -> RunResult:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """The worker count: the argument, else ``OLTR_WORKERS``, else the CPU count.
+    """The worker count: the argument, else the number of CPUs this process may run on.
 
-    A count that is not an integer >= 1 is refused, naming where it came from.
+    The CPUs are those of the process's affinity mask (taskset, cpusets)
+    where the platform reports one, else all of the machine's.  A count
+    that is not an integer >= 1 is refused.
     """
     if workers is not None:
         if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
             raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
         return workers
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            count = int(env)
-        except ValueError:
-            count = 0
-        if count < 1:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {env!r}")
-        return count
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return max(1, os.cpu_count() or 1)
 
 
@@ -362,10 +363,10 @@ def run_experiment(
 
     The dataset is loaded once, in this process, and shared with the
     workers.  Runs are independent and order-insensitive; the worker count
-    (argument, else the ``OLTR_WORKERS`` environment variable, else the CPU
-    count) changes only wall-clock time, never results.  With more than one
-    worker, a LETOR test file of at least 512 KiB is parsed in a forked
-    process while this one parses train.
+    (argument, else the CPUs this process may use, :func:`resolve_workers`)
+    changes only wall-clock time, never results.  With more than one
+    worker, a LETOR test file is parsed in a forked process while this one
+    parses train.
     """
     config.validate()
     n_workers = resolve_workers(workers)

@@ -272,6 +272,18 @@ def synthetic_generating_weights(feature_dim, seed):
     return v / np.linalg.norm(v)
 
 
+def reference_checkpoint_schedule(impressions, num_checkpoints):
+    """The checkpoint schedule built point by point: 0, the horizon and every rounded log-spaced point.
+
+    Its cost grows with ``num_checkpoints`` however few points survive.
+    """
+    points = {0, impressions}
+    if impressions > 1 and num_checkpoints > 1:
+        logs = np.logspace(0.0, np.log10(impressions), num_checkpoints)
+        points.update(int(round(x)) for x in logs)
+    return sorted(p for p in points if 0 <= p <= impressions)
+
+
 def reference_parse_letor(path, feature_dim=None):
     """LETOR/SVMlight parsing one dict per line, as the loader first did.
 

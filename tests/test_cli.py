@@ -51,11 +51,12 @@ class TestRun:
         assert excinfo.value.code == 2
         assert f"argument --workers: must be an integer >= 1, got '{workers}'" in capsys.readouterr().err
 
-    def test_bad_env_worker_count_fails(self, tmp_path, capsys, monkeypatch):
+    def test_workers_env_var_is_ignored(self, tmp_path, capsys, monkeypatch):
+        # --workers is the only override; the environment sets no worker count.
         config_path, _ = write_config(tmp_path)
         monkeypatch.setenv("OLTR_WORKERS", "abc")
-        assert main(["run", str(config_path)]) == 1
-        assert "error: OLTR_WORKERS must be an integer >= 1, got 'abc'" in capsys.readouterr().err
+        assert main(["run", str(config_path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_malformed_json_names_the_file(self, tmp_path, capsys):
         config_path, _ = write_config(tmp_path)

@@ -387,15 +387,11 @@ def _dense_query(qid: str, docs: int, width: int, seed: int) -> list[str]:
 
 
 class TestWorkerCountInvariance:
-    """``load_dataset`` gives the same arrays, qids and width for every worker count.
+    """``load_dataset`` gives the same arrays, qids, width and errors for every worker count.
 
-    The fork floor is lowered so that with more than one worker a test file
-    of a few lines is parsed in a forked process.
+    With more than one worker the test file, however small, is parsed in a
+    forked process.
     """
-
-    @pytest.fixture(autouse=True)
-    def small_forks(self, monkeypatch):
-        monkeypatch.setattr(datasets, "_MIN_FORK_BYTES", 0)
 
     @staticmethod
     def assert_invariant(train, test):
@@ -494,8 +490,7 @@ class TestWorkerCountInvariance:
         self.write_pair(tmp_path, b"\n".join(lines) + b"\n", _rows(_dense_query("2", 2, 3, seed=11)))
         self.assert_same_error(train, test, f"{train}: line 2: malformed feature token '4:x'")
 
-    def test_small_file_forks_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.undo()  # the real fork floor
+    def test_more_than_one_worker_always_forks(self, tmp_path, monkeypatch):
         children = []
 
         def spy_context(method):
@@ -510,16 +505,31 @@ class TestWorkerCountInvariance:
 
         monkeypatch.setattr(datasets, "get_context", spy_context)
         lines = _dense_query("1", 300, 136, seed=12)
-        train, test = self.write_pair(tmp_path, _rows(lines[:2]), _rows(lines[:150]))
-        assert 0.4 < test.stat().st_size / (1 << 19) < 1
-        assert load_dataset(train, test, workers=5).feature_dim == 136
-        assert children == []
-        self.write_pair(tmp_path, _rows(lines[:2]), _rows(lines))  # past 512 KiB one process forks
-        assert test.stat().st_size >= 1 << 19
-        assert load_dataset(train, test, workers=5).feature_dim == 136
-        assert [(method, child.exitcode) for method, child in children] == [("fork", 0)]
-        assert load_dataset(train, test, workers=1).feature_dim == 136
-        assert len(children) == 1
+        sizes = []
+        for test_lines in (lines[:3], lines[:150], lines):
+            train, test = self.write_pair(tmp_path, _rows(lines[:2]), _rows(test_lines))
+            sizes.append(test.stat().st_size)
+            for workers in (2, 5):
+                children.clear()
+                assert load_dataset(train, test, workers=workers).feature_dim == 136
+                assert [(method, child.exitcode) for method, child in children] == [("fork", 0)]
+            children.clear()
+            assert load_dataset(train, test, workers=1).feature_dim == 136
+            assert children == []
+        assert sizes[0] < sizes[1] < 1 << 19 < sizes[2]  # a few lines, and under and over 512 KiB
+
+    def test_missing_test_file(self, tmp_path):
+        lines = _dense_query("1", 6, 3, seed=16)
+        train, test = self.write_pair(tmp_path, _rows(lines), "")
+        test.unlink()
+        for workers in WORKER_COUNTS:
+            with pytest.raises(FileNotFoundError) as raised:
+                load_dataset(train, test, workers=workers)
+            assert str(raised.value) == f"[Errno 2] No such file or directory: '{test}'"
+            assert multiprocessing.active_children() == []
+        # A bad train line is still reported first.
+        train.write_text(_rows(["1 qid:1 1:x"] + lines))
+        self.assert_same_error(train, test, f"{train}: line 1: malformed feature token '1:x'")
 
     def test_bad_train_line_stops_the_forked_parse(self, tmp_path, monkeypatch):
         lines = _dense_query("1", 6, 3, seed=13)
@@ -551,7 +561,14 @@ class TestWorkerCountInvariance:
         assert len(load_dataset(train, test, workers=2).test) == 1
         assert multiprocessing.active_children() == []
         arrays = datasets._letor_arrays
-        monkeypatch.setattr(datasets, "_letor_arrays", lambda path: os._exit(3) if path == test else arrays(path))
+        pid = os.getpid()  # only a forked child dies; a parse in this process would end the test run
+
+        def dying_test_parse(path):
+            if path == test and os.getpid() != pid:
+                os._exit(3)
+            return arrays(path)
+
+        monkeypatch.setattr(datasets, "_letor_arrays", dying_test_parse)
         with pytest.raises(RuntimeError, match="^" + re.escape(f"{test}: the forked parse ended before sending its rows") + "$"):
             load_dataset(train, test, workers=2)
         assert multiprocessing.active_children() == []

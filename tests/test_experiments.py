@@ -1,15 +1,18 @@
 import csv
 import importlib.util
 import json
+import math
 import os
 import re
 import sys
+import time
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from _oracles import reference_checkpoint_schedule
 
 from oltrsim import experiments
 from oltrsim.datasets import make_synthetic, write_letor
@@ -27,6 +30,7 @@ from oltrsim.experiments import (
     load_config_dataset,
     read_summary,
     read_trace_csv,
+    resolve_workers,
     run_experiment,
     run_with_dataset,
     summarize,
@@ -66,6 +70,29 @@ class TestCheckpointSchedule:
     def test_zero_impressions_rejected(self):
         with pytest.raises(ValueError):
             checkpoint_schedule(0, 30)
+
+    @pytest.mark.parametrize(
+        "impressions, num_checkpoints",
+        [(20_000, 30), (1_000_000, 30), (4_000, 5), (2_000, 7), (300, 5), (200, 30)],
+    )
+    def test_repository_schedules_match_the_reference(self, impressions, num_checkpoints):
+        assert checkpoint_schedule(impressions, num_checkpoints) == reference_checkpoint_schedule(impressions, num_checkpoints)
+
+    def test_matches_the_reference_around_every_impression(self):
+        # Counts from a few up to past the point where every impression is a
+        # checkpoint (about impressions * ln(impressions)), densest near it.
+        for impressions in [*range(1, 120), 199, 200, 201, 399, 500, 999, 1000]:
+            every = 1 + math.log(impressions) / math.log1p(1 / impressions) if impressions > 1 else 2
+            near = range(max(1, int(every * 0.995) - 2), int(every * 1.005) + 3, max(1, int(every * 0.0005)))
+            for num_checkpoints in {1, 2, 3, 30, int(every * 0.5), int(every * 1.3), *near}:
+                assert checkpoint_schedule(impressions, num_checkpoints) == reference_checkpoint_schedule(
+                    impressions, num_checkpoints
+                ), (impressions, num_checkpoints)
+
+    def test_cost_bounded_by_the_horizon(self):
+        start = time.perf_counter()
+        assert checkpoint_schedule(1_000, 10**7) == list(range(1_001))
+        assert time.perf_counter() - start < 0.5
 
 
 class TestConfig:
@@ -340,17 +367,14 @@ class TestRunExperiment:
             assert np.array_equal(a.trace.impressions, b.trace.impressions)
             assert np.array_equal(a.trace.ndcg, b.trace.ndcg)
 
-    def test_env_var_sets_workers(self, monkeypatch):
-        monkeypatch.setenv("OLTR_WORKERS", "1")
-        config = tiny_config(repeats=2)
-        results, summary = run_experiment(config)
-        assert summary["repeats"] == 2
-
-    @pytest.mark.parametrize("env", ["abc", "0", "-2", "1.5"])
-    def test_bad_env_worker_count_rejected(self, monkeypatch, env):
-        monkeypatch.setenv("OLTR_WORKERS", env)
-        with pytest.raises(ValueError, match=f"^OLTR_WORKERS must be an integer >= 1, got '{env}'$"):
-            run_experiment(tiny_config())
+    def test_default_workers_are_the_usable_cpus(self, monkeypatch):
+        # One usable CPU on a machine with more: taskset or a cpuset.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert resolve_workers() == 1
+        assert resolve_workers(4) == 4
+        monkeypatch.delattr(os, "sched_getaffinity")  # a platform without affinity masks
+        assert resolve_workers() == 64
 
     @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
     def test_bad_worker_argument_rejected(self, workers):
