@@ -12,12 +12,14 @@ Three behavior models are supported:
 
 ``CLICK_MODELS`` is the one table of the three (click probabilities, stop
 rule and observation rule); ``click_model(name)`` looks one up, and
-``simulate`` draws the clicks of any of them.
+``simulate`` draws the clicks of any of them: it is the checks around
+``_draw_clicks``, which a run's PDGD impression calls directly on grades
+that ``datasets.Query`` checked when it was built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +41,13 @@ class ClickModelSpec:
     stop_prob_after_click: float = 0.0
     # False: rank r is observed with probability 1/r, independent of clicks.
     cascading: bool = True
+    # click_probs as a read-only array, indexed by the displayed grades.
+    prob_array: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        probs = np.asarray(self.click_probs)
+        probs.flags.writeable = False
+        object.__setattr__(self, "prob_array", probs)
 
 
 CLICK_MODELS = {
@@ -88,22 +97,30 @@ def simulate(ranking, grades, spec: ClickModelSpec, rng: np.random.Generator) ->
     grades = np.asarray(grades, dtype=np.int64)
     if grades.shape != ranking.shape:
         raise ValueError("grades must align with the displayed ranking")
-    if grades.size and (grades.min() < 0 or grades.max() > 4):
+    # Python's min and max on a list of at most k grades beat two numpy reductions.
+    grade_list = grades.ravel().tolist()
+    if grade_list and (min(grade_list) < 0 or max(grade_list) > 4):
         raise ValueError("grade outside [0, 4]")
-    m = len(ranking)
-    click_probs = np.asarray(spec.click_probs)[grades]
+    return Interaction(ranking=ranking, clicks=_draw_clicks(spec.prob_array[grades], spec, rng))
+
+
+def _draw_clicks(click_probs: np.ndarray, spec: ClickModelSpec, rng: np.random.Generator) -> np.ndarray:
+    """The click vector of ``spec``'s user, given each displayed position's click probability.
+
+    The draws of :func:`simulate`, without its checks.
+    """
+    m = len(click_probs)
     if not spec.cascading:
         observed = rng.random(m) < 1.0 / np.arange(1, m + 1)
-        clicks = observed & (rng.random(m) < click_probs)
-    elif spec.stop_prob_after_click == 0:
+        return observed & (rng.random(m) < click_probs)
+    if spec.stop_prob_after_click == 0:
         # Nothing stops the scan, so the loop below would draw exactly one
         # number per position: draw them in one call from the same stream.
-        clicks = rng.random(m) < click_probs
-    else:
-        clicks = np.zeros(m, dtype=bool)
-        for pos, prob in enumerate(click_probs.tolist()):
-            if rng.random() < prob:
-                clicks[pos] = True
-                if rng.random() < spec.stop_prob_after_click:
-                    break
-    return Interaction(ranking=ranking, clicks=clicks)
+        return rng.random(m) < click_probs
+    clicks = np.zeros(m, dtype=bool)
+    for pos, prob in enumerate(click_probs.tolist()):
+        if rng.random() < prob:
+            clicks[pos] = True
+            if rng.random() < spec.stop_prob_after_click:
+                break
+    return clicks

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import clicks, datasets, dbgd, pdgd
 from .evaluation import MetricTrace, evaluate_heldout, welch_t_test
-from .ranking import sample_ranking, zero_ranker
+from .ranking import _sample_from_scores, zero_ranker
 
 ALGORITHMS = ("dbgd", "pdgd")
 
@@ -254,11 +254,13 @@ def checkpoint_schedule(impressions: int, num_checkpoints: int) -> list[int]:
     # under one impression.  The 0.1% margin keeps logspace's rounding on the safe side.
     if (num_checkpoints - 1) * math.log1p(1 / impressions) > 1.001 * math.log(impressions):
         return list(range(impressions + 1))
-    points = {0, impressions}
-    if impressions > 1 and num_checkpoints > 1:
-        logs = np.logspace(0.0, np.log10(impressions), num_checkpoints)
-        points.update(int(round(x)) for x in logs)
-    return sorted(p for p in points if 0 <= p <= impressions)
+    if impressions == 1 or num_checkpoints == 1:
+        return [0, impressions]
+    # np.rint rounds half to even, as round() does.  The points increase from
+    # 1, so equal rounded values are neighbours: a mask keeps the first of each.
+    points = np.rint(np.logspace(0.0, np.log10(impressions), num_checkpoints))
+    points = points[np.append(True, points[1:] != points[:-1])]
+    return np.concatenate(([0.0], points[points < impressions], [impressions])).astype(np.int64).tolist()
 
 
 def load_config_dataset(config: ExperimentConfig, workers: int = 1) -> datasets.Dataset:
@@ -308,9 +310,7 @@ def run_with_dataset(config: ExperimentConfig, run_index: int, data: datasets.Da
     for t in range(1, config.impressions + 1):
         query = datasets.sample_query(data, rng)
         if is_pdgd:
-            displayed = sample_ranking(state.ranker, query.features, DISPLAY_CUTOFF, rng)
-            interaction = clicks.simulate(displayed, query.relevance[displayed], click_spec, rng)
-            state = pdgd.pdgd_update(state, query, interaction)
+            state = _pdgd_impression(state, query, click_spec, rng, DISPLAY_CUTOFF)
         else:
             state = dbgd.dbgd_step(state, query, click_spec, rng, DISPLAY_CUTOFF)
         if t in pending:
@@ -324,6 +324,27 @@ def run_with_dataset(config: ExperimentConfig, run_index: int, data: datasets.Da
         trace=trace,
         final_ndcg=trace.final,
     )
+
+
+def _pdgd_impression(
+    state: pdgd.PdgdState,
+    query: datasets.Query,
+    click_spec: clicks.ClickModelSpec,
+    rng: np.random.Generator,
+    k: int,
+) -> pdgd.PdgdState:
+    """One PDGD impression: sample a top-``k`` list, draw its clicks, update.
+
+    Draws and returns what ``sample_ranking``, ``clicks.simulate`` and
+    ``pdgd.pdgd_update`` would in turn, but scores the query once for the
+    sample and skips the first two's checks: the run's dataset fixed the
+    feature dimension and the grades.  ``pdgd.pdgd_update`` is called
+    through the module attribute, so its checks run and a wrapper of it
+    sees every update.
+    """
+    displayed = _sample_from_scores(query.features @ state.ranker.weights, k, rng)
+    clicked = clicks._draw_clicks(click_spec.prob_array[query.relevance[displayed]], click_spec, rng)
+    return pdgd.pdgd_update(state, query, clicks.Interaction(displayed, clicked))
 
 
 _POOL_CONFIG: ExperimentConfig | None = None
@@ -448,7 +469,7 @@ def compare_results(dir_a: str | os.PathLike, dir_b: str | os.PathLike) -> dict:
 
 
 def summarize(config: ExperimentConfig, results: list[RunResult]) -> dict:
-    """Aggregate final NDCG across runs."""
+    """Aggregate final NDCG across runs; the checkpoint schedule is the first run's trace's."""
     finals = np.array([r.final_ndcg for r in results])
     return {
         "config": config.to_dict(),
@@ -458,7 +479,7 @@ def summarize(config: ExperimentConfig, results: list[RunResult]) -> dict:
         "final_ndcg_std": float(finals.std(ddof=1)) if finals.size > 1 else 0.0,
         "per_run_final": [float(v) for v in finals],
         "per_run_seed": [r.seed for r in results],
-        "checkpoint_schedule": checkpoint_schedule(config.impressions, config.num_checkpoints),
+        "checkpoint_schedule": results[0].trace.impressions.tolist(),
     }
 
 

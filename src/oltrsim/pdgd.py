@@ -10,7 +10,14 @@ The pairs of one interaction are a ``PreferencePairs``: two aligned arrays
 of display positions, clicked and unclicked, so that an update works on
 all of them at once.  The debiasing weights come from swap-index and span
 tables built once for the longest display list seen, and the weights and
-the pair preferences go through one sigmoid call.
+the pair preferences go through one sigmoid call (``_pair_weights``).
+
+A run's impression (``experiments._pdgd_impression``) scores the query
+once to sample the list and draws the clicks unchecked, but still calls
+``pdgd_update`` once per impression, so that its checks run (the
+ranking's indices, the feature dimension, finite weights) and a caller
+that wraps it sees every model the run learns.  ``pdgd_update`` scores the
+query again (about 2 us) until one run engine passes the scores on.
 """
 
 from __future__ import annotations
@@ -62,10 +69,10 @@ def infer_pairwise_preferences(interaction: Interaction) -> PreferencePairs:
     always distinct and non-negative.
     """
     clicks = np.asarray(interaction.clicks, dtype=bool)
-    clicked = np.flatnonzero(clicks)
+    clicked = clicks.nonzero()[0]
     if clicked.size == 0:
         return PreferencePairs(clicked, clicked)
-    unclicked = np.flatnonzero(~clicks[: clicked[-1] + 2])
+    unclicked = (~clicks[: clicked[-1] + 2]).nonzero()[0]
     return PreferencePairs(
         clicked.repeat(unclicked.size),
         unclicked[None, :].repeat(clicked.size, axis=0).ravel(),
@@ -101,50 +108,49 @@ def _pair_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
     return swap, span
 
 
-def _pair_flip_log_odds(
-    scores: np.ndarray,
-    displayed: np.ndarray,
-    pos_hi: np.ndarray,
-    pos_lo: np.ndarray,
-) -> np.ndarray:
-    """log P(swapped ranking) - log P(displayed ranking), batched over pairs.
-
-    Swapping two display positions keeps the displayed document set and its
-    numerator product, so only the sequential denominators strictly between
-    the earlier slot (exclusive) and the later slot (inclusive) differ.
-    Denominators are suffix sums of positive masses (never differences), so
-    widely spread scores cannot cancel them into zero or negative values.
-    """
-    m = displayed.size
-    exp_scores = np.exp(scores - scores.max())
-    placed = exp_scores[displayed]
-    undisplayed = np.ones(exp_scores.size, dtype=bool)
-    undisplayed[displayed] = False
-    tail = exp_scores[undisplayed].sum()
-    denoms = tail + placed[::-1].cumsum()[::-1]
-
-    swap, span = _pair_tables(m)
-    placed_star = placed[swap[pos_hi, pos_lo, :m]]
-    denoms_star = tail + placed_star[:, ::-1].cumsum(axis=1)[:, ::-1]
-    with np.errstate(divide="ignore"):
-        log_ratio = np.where(span[pos_hi, pos_lo, :m], np.log(denoms) - np.log(denoms_star), 0.0)
-    return log_ratio.sum(axis=1)
-
-
 def _pair_weights(
     scores: np.ndarray,
     displayed: np.ndarray,
     clicked_pos: np.ndarray,
     unclicked_pos: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per pair, the debiasing weight and the model's preference, from one sigmoid call.
+    """Per pair, the debiasing weight and the model's preference, from one sigmoid.
 
     The weight is ``rho = P(R*) / (P(R) + P(R*))`` with ``R*`` the displayed
-    ranking with the pair's positions swapped; the preference is
-    ``P(i > j) = sigmoid(s_i - s_j)`` for the documents at those positions.
+    ranking with the pair's positions swapped, that is the sigmoid of
+    ``log P(R*) - log P(R)``; the preference is ``P(i > j) = sigmoid(s_i - s_j)``
+    for the documents at those positions.
+
+    Swapping two display positions keeps the displayed document set and its
+    numerator product, so only the sequential denominators strictly between
+    the earlier slot (exclusive) and the later slot (inclusive) differ.
+    Denominators are suffix sums of positive masses (never differences), so
+    widely spread scores cannot cancel them into zero or negative values.
+    Every denominator is at least the undisplayed mass ``tail``; only when
+    that is 0 (every document displayed, or every undisplayed mass
+    underflowed) can one be 0, and its log ``-inf``.
     """
-    log_odds = _pair_flip_log_odds(scores, displayed, clicked_pos, unclicked_pos)
-    margin = scores[displayed[clicked_pos]] - scores[displayed[unclicked_pos]]
+    m = displayed.size
+    exp_scores = np.exp(scores - scores.max())
+    placed = exp_scores[displayed]
+    is_displayed = np.zeros(exp_scores.size, dtype=bool)
+    is_displayed[displayed] = True
+    tail = exp_scores[~is_displayed].sum()
+    denoms = tail + placed[::-1].cumsum()[::-1]
+
+    swap, span = _pair_tables(m)
+    placed_star = placed[swap[clicked_pos, unclicked_pos, :m]]
+    denoms_star = tail + placed_star[:, ::-1].cumsum(axis=1)[:, ::-1]
+    # Entering errstate costs about as much as the logs, so only where one can be -inf.
+    if tail == 0:
+        with np.errstate(divide="ignore"):
+            log_ratio = np.log(denoms) - np.log(denoms_star)
+    else:
+        log_ratio = np.log(denoms) - np.log(denoms_star)
+    log_odds = np.where(span[clicked_pos, unclicked_pos, :m], log_ratio, 0.0).sum(axis=1)
+
+    placed_scores = scores[displayed]
+    margin = placed_scores[clicked_pos] - placed_scores[unclicked_pos]
     both = sigmoid(np.concatenate((log_odds, margin)))
     return both[: log_odds.size], both[log_odds.size :]
 
@@ -153,7 +159,7 @@ def pdgd_update(state: PdgdState, query: Query, interaction: Interaction) -> Pdg
     """One gradient step from the preferences inferred in an interaction.
 
     Each pair contributes ``rho * P(i>j) * P(j>i) * (d_i - d_j)``; with no
-    clicks the state is returned unchanged.
+    clicks the state is returned unchanged, before the ranking is checked.
     """
     pairs = infer_pairwise_preferences(interaction)
     if not pairs:
@@ -164,7 +170,8 @@ def pdgd_update(state: PdgdState, query: Query, interaction: Interaction) -> Pdg
     rho, p_ij = _pair_weights(scores, displayed, pairs.clicked, pairs.unclicked)
     pair_scale = rho * p_ij * (1.0 - p_ij)
 
-    diffs = query.features[displayed[pairs.clicked]] - query.features[displayed[pairs.unclicked]]
+    placed = query.features[displayed]
+    diffs = placed[pairs.clicked] - placed[pairs.unclicked]
     gradient = pair_scale @ diffs
     new_weights = state.ranker.weights + state.learning_rate * gradient
     return PdgdState(ranker=LinearRanker(new_weights), learning_rate=state.learning_rate)

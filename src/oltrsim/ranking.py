@@ -62,11 +62,12 @@ def check_ranking(ranking: np.ndarray, n_docs: int) -> np.ndarray:
         raise ValueError("ranking must be a non-empty 1-D index array")
     if ranking.dtype.kind not in "iu":
         raise ValueError("ranking indices must be integers")
-    if ranking.min() < 0 or ranking.max() >= n_docs:
+    # A display list is short: Python's min, max and set on its indices
+    # beat numpy's reductions and an n_docs-long mask.
+    indices = ranking.tolist()
+    if min(indices) < 0 or max(indices) >= n_docs:
         raise ValueError("ranking index out of range")
-    seen = np.zeros(n_docs, dtype=bool)
-    seen[ranking] = True
-    if np.count_nonzero(seen) != ranking.size:
+    if len(set(indices)) != len(indices):
         raise ValueError("ranking contains duplicate indices")
     return ranking
 
@@ -118,11 +119,15 @@ def sample_ranking(
     candidates = _check_candidates(candidates)
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = ranker.score_all(candidates)
-    n = scores.shape[0]
-    noisy = scores + rng.gumbel(size=n)
-    order = np.argsort(-noisy)
-    return order[: min(k, n)]
+    return _sample_from_scores(ranker.score_all(candidates), k, rng)
+
+
+def _sample_from_scores(scores: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The Plackett-Luce top-``min(k, n)`` of :func:`sample_ranking`, without its checks.
+
+    For callers that built ``scores`` themselves; ``k`` must be >= 1.
+    """
+    return (-(scores + rng.gumbel(size=scores.shape[0]))).argsort()[:k]
 
 
 def sigmoid(x):

@@ -444,6 +444,21 @@ def reference_pdgd_update(weights, features, ranking, clicks, learning_rate):
     return weights + learning_rate * gradient
 
 
+def reference_pdgd_impression(weights, features, grades, spec, rng, k, learning_rate=0.1):
+    """One PDGD impression as a run first made it: sample a list, draw its clicks, update.
+
+    The list is a Plackett-Luce sample by Gumbel noise and argsort of the
+    scores ``features @ weights``, the clicks those of
+    :func:`reference_simulate` on its grades, and the new weights those of
+    :func:`reference_pdgd_update`, which scores the query again.  Draws
+    from ``rng`` in that order.
+    """
+    scores = features @ weights
+    displayed = np.argsort(-(scores + rng.gumbel(size=scores.size)))[:k]
+    clicks = reference_simulate(displayed, grades[displayed], spec, rng)
+    return reference_pdgd_update(weights, features, displayed, clicks, learning_rate)
+
+
 def _reference_rank_softness(ranking, tau):
     n = ranking.size
     ranks = np.empty(n)

@@ -16,7 +16,7 @@ from _oracles import reference_checkpoint_schedule
 
 from oltrsim import experiments
 from oltrsim.datasets import make_synthetic, write_letor
-from oltrsim.evaluation import evaluate_heldout, welch_t_test
+from oltrsim.evaluation import MetricTrace, evaluate_heldout, welch_t_test
 from oltrsim.experiments import (
     BUNDLED_SYNTHETIC,
     PAPER_ARMS,
@@ -88,6 +88,15 @@ class TestCheckpointSchedule:
                 assert checkpoint_schedule(impressions, num_checkpoints) == reference_checkpoint_schedule(
                     impressions, num_checkpoints
                 ), (impressions, num_checkpoints)
+
+    @pytest.mark.parametrize("impressions", [4_000, 9_999, 20_000])
+    def test_matches_the_reference_just_under_every_impression(self, impressions):
+        # Counts this close to the threshold round to every impression but a few.
+        every = 1 + math.log(impressions) / math.log1p(1 / impressions)
+        for num_checkpoints in (int(every * 0.998), int(every) - 1, int(every * 0.5)):
+            assert checkpoint_schedule(impressions, num_checkpoints) == reference_checkpoint_schedule(
+                impressions, num_checkpoints
+            ), num_checkpoints
 
     def test_cost_bounded_by_the_horizon(self):
         start = time.perf_counter()
@@ -314,8 +323,16 @@ class TestRunSingle:
 
 
 def write_summary(directory, config: ExperimentConfig, finals) -> dict:
-    """Write into ``directory`` the summary.json of runs of ``config`` whose finals are ``finals``."""
-    summary = summarize(config, [RunResult(i, i, config.config_hash(), None, v) for i, v in enumerate(finals)])
+    """Write into ``directory`` the summary.json of runs of ``config`` whose finals are ``finals``.
+
+    Each run's trace holds its final at every checkpoint of the config's schedule.
+    """
+    schedule = checkpoint_schedule(config.impressions, config.num_checkpoints)
+    results = [
+        RunResult(i, i, config.config_hash(), MetricTrace(schedule, [v] * len(schedule)), v)
+        for i, v in enumerate(finals)
+    ]
+    summary = summarize(config, results)
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh)

@@ -18,16 +18,17 @@ from oltrsim.clicks import (
 from oltrsim.datasets import Query
 from oltrsim.dbgd import DbgdState, dbgd_step
 from oltrsim.pdgd import PdgdState, pdgd_update
-from oltrsim.ranking import LinearRanker, sample_ranking
+from oltrsim.ranking import LinearRanker, check_ranking, sample_ranking
 
 QUERY = Query(qid="q", features=np.arange(12.0).reshape(4, 3) / 10.0, relevance=[0, 1, 2, 3])
 STATE = PdgdState(LinearRanker(np.zeros(3)))
 
 
-def update_with_ranking(ranking):
-    clicks = np.zeros(len(ranking), dtype=bool)
-    clicks[0] = True
-    return pdgd_update(STATE, QUERY, Interaction(ranking=np.asarray(ranking), clicks=clicks))
+def update_with_ranking(ranking, state=STATE, query=QUERY):
+    ranking = np.asarray(ranking)
+    clicks = np.zeros(ranking.shape, dtype=bool)
+    clicks.flat[0] = True
+    return pdgd_update(state, query, Interaction(ranking=ranking, clicks=clicks))
 
 
 def non_finite_update():
@@ -75,7 +76,31 @@ CASES = {
         lambda: update_with_ranking([0.0, 1.0, 2.0]),
         "ranking indices must be integers",
     ),
+    "pdgd_update 2-D ranking": (
+        lambda: update_with_ranking([[0, 1], [2, 3]]),
+        "ranking must be a non-empty 1-D index array",
+    ),
+    "pdgd_update bool ranking": (
+        lambda: update_with_ranking([True, False, True]),
+        "ranking indices must be integers",
+    ),
+    "pdgd_update uint64 ranking above range": (
+        lambda: update_with_ranking(np.array([0, 1, 4], dtype=np.uint64)),
+        "ranking index out of range",
+    ),
+    "pdgd_update uint64 ranking past int64": (
+        lambda: update_with_ranking(np.array([0, 2**64 - 1], dtype=np.uint64)),
+        "ranking index out of range",
+    ),
+    "pdgd_update feature dimension mismatch": (
+        lambda: update_with_ranking([0, 1, 2], state=PdgdState(LinearRanker(np.zeros(2)))),
+        "feature dimension 3 does not match ranker dimension 2",
+    ),
     "pdgd_update non-finite weights": (non_finite_update, "weights must be finite"),
+    "check_ranking empty ranking": (
+        lambda: check_ranking(np.array([], dtype=np.int64), 4),
+        "ranking must be a non-empty 1-D index array",
+    ),
     "simulate misaligned grades, cascading": (
         lambda: simulate(np.arange(3), [1, 1], click_model(PERFECT), np.random.default_rng(0)),
         "grades must align with the displayed ranking",
@@ -128,6 +153,14 @@ CASES = {
         lambda: sample_ranking(LinearRanker(np.zeros(3)), np.zeros((0, 3)), 10, np.random.default_rng(0)),
         "candidates must be a non-empty (n_docs, dim) matrix",
     ),
+    "sample_ranking feature dimension mismatch": (
+        lambda: sample_ranking(LinearRanker(np.zeros(2)), QUERY.features, 10, np.random.default_rng(0)),
+        "feature dimension 3 does not match ranker dimension 2",
+    ),
+    "sample_ranking k < 1": (
+        lambda: sample_ranking(LinearRanker(np.zeros(3)), QUERY.features, 0, np.random.default_rng(0)),
+        "k must be >= 1",
+    ),
 }
 
 
@@ -137,3 +170,10 @@ def test_rejected_with_the_same_message(name):
     with pytest.raises(ValueError) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+def test_pdgd_update_without_clicks_skips_the_ranking_checks():
+    # No clicks means no pairs, so the update returns the state before it
+    # looks at the ranking: an empty ranking is never refused here.
+    empty = Interaction(ranking=np.array([], dtype=np.int64), clicks=np.array([], dtype=bool))
+    assert pdgd_update(STATE, QUERY, empty) is STATE
