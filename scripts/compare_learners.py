@@ -19,30 +19,18 @@ import time
 
 import numpy as np
 
+from oltrsim.cli import count_at_least
 from oltrsim.experiments import PAPER_ARMS, arm_config, compare_results, emit_outputs, run_experiment
 
 REFERENCE = "dbgd_prob_perfect"
 
 
-def _count_at_least(minimum: int):
-    def count(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = minimum - 1
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
-        return value
-
-    return count
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results/comparison", help="output root directory")
-    parser.add_argument("--impressions", type=_count_at_least(1), default=20000)
-    parser.add_argument("--repeats", type=_count_at_least(2), default=25, help="runs per arm, at least 2 for the Welch test")
-    parser.add_argument("--workers", type=_count_at_least(1), default=None)
+    parser.add_argument("--impressions", type=count_at_least(1), default=20000)
+    parser.add_argument("--repeats", type=count_at_least(2), default=25, help="runs per arm, at least 2 for the Welch test")
+    parser.add_argument("--workers", type=count_at_least(1), default=None)
     args = parser.parse_args()
 
     out_dirs = {name: os.path.join(args.out, name) for name in PAPER_ARMS}

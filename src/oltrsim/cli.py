@@ -99,13 +99,18 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _worker_count(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+def count_at_least(minimum: int):
+    """An argparse ``type`` that reads an integer ``>= minimum``, naming the text it refuses."""
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+
     return count
 
 
@@ -115,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
     p_run.add_argument("config", help="path to the experiment config (JSON)")
-    p_run.add_argument("--workers", type=_worker_count, default=None, help="worker processes (default: the usable CPUs)")
+    p_run.add_argument("--workers", type=count_at_least(1), default=None, help="worker processes (default: the usable CPUs)")
     p_run.set_defaults(func=_cmd_run)
 
     p_plot = sub.add_parser("plot", help="rebuild curve.svg from a result directory")

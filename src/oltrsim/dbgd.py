@@ -2,13 +2,15 @@
 
 Each impression perturbs the current model along a random unit direction,
 ranks the query with both models, and asks a comparator whether the
-perturbed candidate is preferred.  Only a win for the candidate moves the
-weights, by ``learning_rate * sphere_radius`` along the perturbation.
+perturbed candidate is preferred.  Runs follow Hofmann et al. 2011: the
+direction is drawn from the unit sphere, probabilistic interleaving softens
+rankings with ``TAU`` = 3, and only a win for the candidate moves the
+weights, by ``LEARNING_RATE`` = 0.001 along the direction.
 
 :func:`dbgd_step` makes one pass over an impression and builds each
 intermediate once.  It scores both models, ranks them with the shuffle and
 stable sort of :func:`ranking.rank_deterministic`, and, for probabilistic
-interleaving, softens each ranking into masses ``1 / rank**tau`` once; the
+interleaving, softens each ranking into masses ``1 / rank**TAU`` once; the
 interleaving and the credit both read those two mass vectors.  It calls the
 private cores that :func:`probabilistic_interleave` and
 :func:`infer_preference_probabilistic` wrap, so it skips only their checks
@@ -25,8 +27,8 @@ masking the masses anew at every position:
   displayed documents are zero.  For finite masses, ``mass * True`` is
   ``mass`` and ``mass * False`` is ``0.0``, so that copy equals
   ``masses * remaining`` element for element and its running sum is the
-  same.  ``DbgdState`` refuses a non-finite ``tau`` (runs use the fixed
-  tau = 3), so the masses are finite in ``[0, 1]``.
+  same.  ``TAU`` is positive and finite, so the masses are finite in
+  ``[0, 1]``.
 * Credit still sums the remaining masses afresh at each clicked position
   and accumulates the per-position terms in display order.
 """
@@ -34,7 +36,6 @@ masking the masses anew at every position:
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +51,9 @@ ORACLE = "oracle"
 
 COMPARATORS = (PROBABILISTIC, TEAM_DRAFT, ORACLE)
 
+LEARNING_RATE = 0.001
+TAU = 3.0
+
 
 class ComparisonOutcome(enum.Enum):
     CURRENT = "current"
@@ -59,29 +63,31 @@ class ComparisonOutcome(enum.Enum):
 
 @dataclass
 class DbgdState:
-    """Current model plus the exploration and update hyperparameters."""
+    """Current model plus the comparator that judges its perturbations."""
 
     ranker: LinearRanker
-    learning_rate: float = 0.001
-    sphere_radius: float = 1.0
     comparator: str = PROBABILISTIC
-    tau: float = 3.0
 
     def __post_init__(self):
-        for name in ("learning_rate", "sphere_radius", "tau"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.comparator not in COMPARATORS:
             raise ValueError(f"unknown comparator {self.comparator!r}, expected one of {COMPARATORS}")
 
 
-def _rank_softness(ranking: np.ndarray, tau: float) -> np.ndarray:
-    """Per-document mass ``1 / rank**tau`` implied by a full ranking."""
+def _rank_softness(ranking: np.ndarray) -> np.ndarray:
+    """Per-document mass ``1 / rank**TAU`` implied by a full ranking."""
     n = ranking.size
     ranks = np.empty(n)
     ranks[ranking] = np.arange(1, n + 1)
-    return ranks**-tau
+    return ranks**-TAU
+
+
+def _outcome(current, candidate) -> ComparisonOutcome:
+    """``CURRENT`` if ``current`` is the greater, ``CANDIDATE`` if ``candidate`` is, else ``TIE``."""
+    if current > candidate:
+        return ComparisonOutcome.CURRENT
+    if candidate > current:
+        return ComparisonOutcome.CANDIDATE
+    return ComparisonOutcome.TIE
 
 
 def _check_ranking_pair(r_a: np.ndarray, r_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,12 +105,11 @@ def probabilistic_interleave(
     r_b: np.ndarray,
     k: int,
     rng: np.random.Generator,
-    tau: float = 3.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw a displayed list by mixing rank-softened versions of two rankings.
 
     Each ranking is softened into a distribution with mass proportional to
-    ``1 / rank**tau``.  For every display position a fair coin picks one
+    ``1 / rank**TAU``.  For every display position a fair coin picks one
     ranking, a document is drawn from its distribution renormalized over
     the not-yet-displayed documents, and that document is removed from
     both distributions.
@@ -115,7 +120,7 @@ def probabilistic_interleave(
     r_a, r_b = _check_ranking_pair(r_a, r_b)
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _interleave_from_masses(_rank_softness(r_a, tau), _rank_softness(r_b, tau), min(k, r_a.size), rng)
+    return _interleave_from_masses(_rank_softness(r_a), _rank_softness(r_b), min(k, r_a.size), rng)
 
 
 def _interleave_from_masses(
@@ -151,7 +156,6 @@ def infer_preference_probabilistic(
     clicks: np.ndarray,
     r_a: np.ndarray,
     r_b: np.ndarray,
-    tau: float = 3.0,
 ) -> ComparisonOutcome:
     """Expected click-credit comparison, marginalized over coin assignments.
 
@@ -169,7 +173,7 @@ def infer_preference_probabilistic(
     clicks = np.asarray(clicks, dtype=bool)
     if clicks.shape != displayed.shape:
         raise ValueError("clicks must align with the displayed list")
-    return _infer_from_masses(displayed, clicks, _rank_softness(r_a, tau), _rank_softness(r_b, tau))
+    return _infer_from_masses(displayed, clicks, _rank_softness(r_a), _rank_softness(r_b))
 
 
 def _infer_from_masses(
@@ -189,11 +193,7 @@ def _infer_from_masses(
         w_a = mass_a[doc] / mass_a[remaining].sum()
         w_b = mass_b[doc] / mass_b[remaining].sum()
         credit_diff += (w_a - w_b) / (w_a + w_b)
-    if credit_diff > 0:
-        return ComparisonOutcome.CURRENT
-    if credit_diff < 0:
-        return ComparisonOutcome.CANDIDATE
-    return ComparisonOutcome.TIE
+    return _outcome(credit_diff, 0.0)
 
 
 def team_draft_interleave(
@@ -245,22 +245,12 @@ def team_draft_infer(teams: np.ndarray, clicks: np.ndarray) -> ComparisonOutcome
         raise ValueError("clicks must align with the team assignments")
     credit_a = int(np.sum(clicks & (teams == 0)))
     credit_b = int(np.sum(clicks & (teams == 1)))
-    if credit_a > credit_b:
-        return ComparisonOutcome.CURRENT
-    if credit_b > credit_a:
-        return ComparisonOutcome.CANDIDATE
-    return ComparisonOutcome.TIE
+    return _outcome(credit_a, credit_b)
 
 
 def oracle_compare(r_a: np.ndarray, r_b: np.ndarray, grades: np.ndarray, k: int = 10) -> ComparisonOutcome:
     """Judge by true NDCG@k on the current query; ties favor neither."""
-    ndcg_a = ndcg_at_k(r_a, grades, k)
-    ndcg_b = ndcg_at_k(r_b, grades, k)
-    if ndcg_a > ndcg_b:
-        return ComparisonOutcome.CURRENT
-    if ndcg_b > ndcg_a:
-        return ComparisonOutcome.CANDIDATE
-    return ComparisonOutcome.TIE
+    return _outcome(ndcg_at_k(r_a, grades, k), ndcg_at_k(r_b, grades, k))
 
 
 def dbgd_step(
@@ -278,7 +268,7 @@ def dbgd_step(
     if query.n_docs < 1:
         raise ValueError("query has no documents")
     direction = sample_unit_sphere(state.ranker.dim, rng)
-    candidate = LinearRanker(state.ranker.weights + state.sphere_radius * direction)
+    candidate = LinearRanker(state.ranker.weights + direction)
     features = query.features
     ranking_current = _order_by_score(state.ranker.score_all(features), rng)
     ranking_candidate = _order_by_score(features @ candidate.weights, rng)
@@ -291,8 +281,8 @@ def dbgd_step(
         if state.comparator == PROBABILISTIC:
             if k < 1:
                 raise ValueError("k must be >= 1")
-            mass_current = _rank_softness(ranking_current, state.tau)
-            mass_candidate = _rank_softness(ranking_candidate, state.tau)
+            mass_current = _rank_softness(ranking_current)
+            mass_candidate = _rank_softness(ranking_candidate)
             displayed, _ = _interleave_from_masses(mass_current, mass_candidate, min(k, query.n_docs), rng)
             interaction = simulate(displayed, query.relevance[displayed], click_spec, rng)
             outcome = _infer_from_masses(displayed, interaction.clicks, mass_current, mass_candidate)
@@ -303,5 +293,4 @@ def dbgd_step(
 
     if outcome is not ComparisonOutcome.CANDIDATE:
         return state
-    step = state.learning_rate * state.sphere_radius * direction
-    return replace(state, ranker=LinearRanker(state.ranker.weights + step))
+    return replace(state, ranker=LinearRanker(state.ranker.weights + LEARNING_RATE * direction))

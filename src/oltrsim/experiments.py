@@ -22,14 +22,14 @@ import numpy as np
 
 from . import clicks, datasets, dbgd, pdgd
 from .evaluation import MetricTrace, evaluate_heldout, welch_t_test
-from .ranking import _sample_from_scores, zero_ranker
+from .ranking import zero_ranker
 
 ALGORITHMS = ("dbgd", "pdgd")
 
 # Runs follow the standard protocol (Hofmann et al. 2011; Oosterhuis & de
-# Rijke 2018): a top-10 display and the PdgdState / DbgdState defaults, PDGD
-# at learning rate 0.1, DBGD at 0.001 on the unit sphere and probabilistic
-# interleaving at tau = 3.  Configs do not set them; the library API does.
+# Rijke 2018): a top-10 display, PDGD at learning rate 0.1, DBGD at 0.001 on
+# the unit sphere and probabilistic interleaving at tau = 3.  No config sets
+# them: the step sizes and tau are constants of the pdgd and dbgd modules.
 DISPLAY_CUTOFF = 10
 
 
@@ -294,10 +294,12 @@ def run_with_dataset(config: ExperimentConfig, run_index: int, data: datasets.Da
     trace_impressions: list[int] = []
     trace_ndcg: list[float] = []
 
+    # Each step is looked up here, when the run starts, so that a wrapper of
+    # dbgd.dbgd_step installed before the run is the one called.
     if config.algorithm == "pdgd":
-        state = pdgd.PdgdState(ranker=zero_ranker(data.feature_dim))
+        state, step = pdgd.PdgdState(zero_ranker(data.feature_dim)), pdgd._pdgd_step
     else:
-        state = dbgd.DbgdState(ranker=zero_ranker(data.feature_dim), comparator=config.comparator)
+        state, step = dbgd.DbgdState(zero_ranker(data.feature_dim), config.comparator), dbgd.dbgd_step
 
     def record(t: int) -> None:
         # The reported metric is NDCG@10 regardless of the display cutoff.
@@ -306,13 +308,8 @@ def run_with_dataset(config: ExperimentConfig, run_index: int, data: datasets.Da
 
     if 0 in pending:
         record(0)
-    is_pdgd = config.algorithm == "pdgd"
     for t in range(1, config.impressions + 1):
-        query = datasets.sample_query(data, rng)
-        if is_pdgd:
-            state = _pdgd_impression(state, query, click_spec, rng, DISPLAY_CUTOFF)
-        else:
-            state = dbgd.dbgd_step(state, query, click_spec, rng, DISPLAY_CUTOFF)
+        state = step(state, datasets.sample_query(data, rng), click_spec, rng, DISPLAY_CUTOFF)
         if t in pending:
             record(t)
 
@@ -324,27 +321,6 @@ def run_with_dataset(config: ExperimentConfig, run_index: int, data: datasets.Da
         trace=trace,
         final_ndcg=trace.final,
     )
-
-
-def _pdgd_impression(
-    state: pdgd.PdgdState,
-    query: datasets.Query,
-    click_spec: clicks.ClickModelSpec,
-    rng: np.random.Generator,
-    k: int,
-) -> pdgd.PdgdState:
-    """One PDGD impression: sample a top-``k`` list, draw its clicks, update.
-
-    Draws and returns what ``sample_ranking``, ``clicks.simulate`` and
-    ``pdgd.pdgd_update`` would in turn, but scores the query once for the
-    sample and skips the first two's checks: the run's dataset fixed the
-    feature dimension and the grades.  ``pdgd.pdgd_update`` is called
-    through the module attribute, so its checks run and a wrapper of it
-    sees every update.
-    """
-    displayed = _sample_from_scores(query.features @ state.ranker.weights, k, rng)
-    clicked = clicks._draw_clicks(click_spec.prob_array[query.relevance[displayed]], click_spec, rng)
-    return pdgd.pdgd_update(state, query, clicks.Interaction(displayed, clicked))
 
 
 _POOL_CONFIG: ExperimentConfig | None = None

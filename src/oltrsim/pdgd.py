@@ -12,36 +12,33 @@ all of them at once.  The debiasing weights come from swap-index and span
 tables built once for the longest display list seen, and the weights and
 the pair preferences go through one sigmoid call (``_pair_weights``).
 
-A run's impression (``experiments._pdgd_impression``) scores the query
-once to sample the list and draws the clicks unchecked, but still calls
-``pdgd_update`` once per impression, so that its checks run (the
-ranking's indices, the feature dimension, finite weights) and a caller
-that wraps it sees every model the run learns.  ``pdgd_update`` scores the
-query again (about 2 us) until one run engine passes the scores on.
+Runs take steps of ``LEARNING_RATE`` = 0.1 (Oosterhuis & de Rijke 2018).
+A run's impression (``_pdgd_step``) scores the query once to sample the
+list and draws the clicks unchecked, but still calls ``pdgd_update`` once
+per impression, so that its checks run (the ranking's indices, the feature
+dimension, finite weights) and a caller that wraps it sees every model the
+run learns.  ``pdgd_update`` scores the query again (about 2 us) until one
+run engine passes the scores on.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clicks import Interaction
+from .clicks import ClickModelSpec, Interaction, _draw_clicks
 from .datasets import Query
-from .ranking import LinearRanker, check_ranking, sigmoid
+from .ranking import LinearRanker, _sample_from_scores, check_ranking, sigmoid
+
+LEARNING_RATE = 0.1
 
 
 @dataclass
 class PdgdState:
-    """Model weights plus the gradient step size."""
+    """The model's weights."""
 
     ranker: LinearRanker
-    learning_rate: float = 0.1
-
-    def __post_init__(self):
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
 
 
 @dataclass(eq=False)
@@ -128,7 +125,9 @@ def _pair_weights(
     widely spread scores cannot cancel them into zero or negative values.
     Every denominator is at least the undisplayed mass ``tail``; only when
     that is 0 (every document displayed, or every undisplayed mass
-    underflowed) can one be 0, and its log ``-inf``.
+    underflowed) can one be 0.  Then the last one is 0, and the logs of
+    both rows of denominators are taken as log-sum-exp suffixes of the
+    displayed scores instead, which stay finite.
     """
     m = displayed.size
     exp_scores = np.exp(scores - scores.max())
@@ -139,17 +138,19 @@ def _pair_weights(
     denoms = tail + placed[::-1].cumsum()[::-1]
 
     swap, span = _pair_tables(m)
-    placed_star = placed[swap[clicked_pos, unclicked_pos, :m]]
+    swapped = swap[clicked_pos, unclicked_pos, :m]
+    placed_star = placed[swapped]
     denoms_star = tail + placed_star[:, ::-1].cumsum(axis=1)[:, ::-1]
-    # Entering errstate costs about as much as the logs, so only where one can be -inf.
-    if tail == 0:
-        with np.errstate(divide="ignore"):
-            log_ratio = np.log(denoms) - np.log(denoms_star)
+    placed_scores = scores[displayed]
+    if tail == 0 and not (denoms[-1] and denoms_star[:, -1].all()):
+        shifted = placed_scores - scores.max()
+        log_denoms = np.logaddexp.accumulate(shifted[::-1])[::-1]
+        log_denoms_star = np.logaddexp.accumulate(shifted[swapped][:, ::-1], axis=1)[:, ::-1]
+        log_ratio = log_denoms - log_denoms_star
     else:
         log_ratio = np.log(denoms) - np.log(denoms_star)
     log_odds = np.where(span[clicked_pos, unclicked_pos, :m], log_ratio, 0.0).sum(axis=1)
 
-    placed_scores = scores[displayed]
     margin = placed_scores[clicked_pos] - placed_scores[unclicked_pos]
     both = sigmoid(np.concatenate((log_odds, margin)))
     return both[: log_odds.size], both[log_odds.size :]
@@ -173,5 +174,25 @@ def pdgd_update(state: PdgdState, query: Query, interaction: Interaction) -> Pdg
     placed = query.features[displayed]
     diffs = placed[pairs.clicked] - placed[pairs.unclicked]
     gradient = pair_scale @ diffs
-    new_weights = state.ranker.weights + state.learning_rate * gradient
-    return PdgdState(ranker=LinearRanker(new_weights), learning_rate=state.learning_rate)
+    return PdgdState(LinearRanker(state.ranker.weights + LEARNING_RATE * gradient))
+
+
+def _pdgd_step(
+    state: PdgdState,
+    query: Query,
+    click_spec: ClickModelSpec,
+    rng: np.random.Generator,
+    k: int,
+) -> PdgdState:
+    """One PDGD impression: sample a top-``k`` list, draw its clicks, update.
+
+    Draws and returns what ``sample_ranking``, ``clicks.simulate`` and
+    ``pdgd_update`` would in turn, but scores the query once for the sample
+    and skips the first two's checks: the run's dataset fixed the feature
+    dimension and the grades.  ``pdgd_update`` is looked up as a module
+    global at every call, so its checks run and a wrapper of it sees every
+    update.
+    """
+    displayed = _sample_from_scores(query.features @ state.ranker.weights, k, rng)
+    clicked = _draw_clicks(click_spec.prob_array[query.relevance[displayed]], click_spec, rng)
+    return pdgd_update(state, query, Interaction(displayed, clicked))

@@ -391,7 +391,14 @@ def reference_sigmoid(x):
 
 
 def reference_pair_flip_log_odds(scores, displayed, pos_hi, pos_lo):
-    """log P(swapped) - log P(displayed) per pair, one tiled copy of the list per pair."""
+    """log P(swapped) - log P(displayed) per pair, one tiled copy of the list per pair.
+
+    The logs are of the denominators themselves.  A denominator of 0
+    (every document displayed, and masses underflowed) warns "divide by
+    zero encountered in log"; the package takes its logs in log-sum-exp
+    form there, so it agrees with this reference bit for bit only where
+    that warning is not raised.
+    """
     m = displayed.size
     exp_scores = np.exp(scores - scores.max())
     placed = exp_scores[displayed]
@@ -410,8 +417,7 @@ def reference_pair_flip_log_odds(scores, displayed, pos_hi, pos_lo):
 
     positions = np.arange(m)
     in_span = (positions[None, :] > a[:, None]) & (positions[None, :] <= b[:, None])
-    with np.errstate(divide="ignore"):
-        log_ratio = np.where(in_span, np.log(denoms)[None, :] - np.log(denoms_star), 0.0)
+    log_ratio = np.where(in_span, np.log(denoms)[None, :] - np.log(denoms_star), 0.0)
     return log_ratio.sum(axis=1)
 
 
@@ -525,11 +531,13 @@ def reference_infer_preference_probabilistic(displayed, clicks, r_a, r_b, tau=3.
     return "tie"
 
 
-def reference_dbgd_step(state, query, click_spec, rng, k=10):
+def reference_dbgd_step(state, query, click_spec, rng, k=10, *, learning_rate, sphere_radius, tau):
     """The DBGD step as first written: checked ranking, interleaving and credit calls.
 
-    Takes and returns a ``DbgdState``; draws the same numbers in the same
-    order as the package's step must.
+    Takes and returns a ``DbgdState``; the step size, the radius of the
+    sphere the direction is scaled to and the interleaving's ``tau`` are
+    arguments.  At the package's constants it draws the same numbers in the
+    same order as the package's step must.
     """
     from dataclasses import replace
 
@@ -538,7 +546,7 @@ def reference_dbgd_step(state, query, click_spec, rng, k=10):
     if query.n_docs < 1:
         raise ValueError("query has no documents")
     direction = ranking.sample_unit_sphere(state.ranker.dim, rng)
-    candidate = ranking.LinearRanker(state.ranker.weights + state.sphere_radius * direction)
+    candidate = ranking.LinearRanker(state.ranker.weights + sphere_radius * direction)
     orders = []
     for model in (state.ranker, candidate):
         scores = model.score_all(query.features)
@@ -552,10 +560,10 @@ def reference_dbgd_step(state, query, click_spec, rng, k=10):
         if click_spec is None:
             raise ValueError(f"comparator {state.comparator!r} needs a click model")
         if state.comparator == dbgd.PROBABILISTIC:
-            displayed, _ = reference_probabilistic_interleave(ranking_current, ranking_candidate, k, rng, state.tau)
+            displayed, _ = reference_probabilistic_interleave(ranking_current, ranking_candidate, k, rng, tau)
             interaction = clicks.simulate(displayed, query.relevance[displayed], click_spec, rng)
             outcome = reference_infer_preference_probabilistic(
-                displayed, interaction.clicks, ranking_current, ranking_candidate, state.tau
+                displayed, interaction.clicks, ranking_current, ranking_candidate, tau
             )
         else:
             displayed, teams = dbgd.team_draft_interleave(ranking_current, ranking_candidate, k, rng)
@@ -564,5 +572,5 @@ def reference_dbgd_step(state, query, click_spec, rng, k=10):
 
     if outcome != "candidate":
         return state
-    step = state.learning_rate * state.sphere_radius * direction
+    step = learning_rate * sphere_radius * direction
     return replace(state, ranker=ranking.LinearRanker(state.ranker.weights + step))

@@ -70,7 +70,7 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
 
     def test_tau_is_an_unknown_field(self, tmp_path, capsys, monkeypatch):
-        # Runs follow the standard protocol; the library API varies tau.
+        # Runs follow the standard protocol; tau is the constant dbgd.TAU.
         config_path, _ = write_config(tmp_path, algorithm="dbgd", tau=3)
         monkeypatch.chdir(tmp_path)
         assert main(["run", str(config_path), "--workers", "1"]) == 1

@@ -208,7 +208,7 @@ class TestDbgdStep:
         # win and not at all otherwise.
         outcomes = self.record_outcomes(monkeypatch, "_infer_from_masses")
         spec = click_model("perfect")
-        state = DbgdState(zero_ranker(4), learning_rate=0.001, sphere_radius=1.0)
+        state = DbgdState(zero_ranker(4))
         query = self.make_query(rng)
         moved = 0
         for _ in range(200):
@@ -230,7 +230,7 @@ class TestDbgdStep:
         monkeypatch.setattr(dbgd_module, "sample_unit_sphere", lambda dim, rng: direction.copy())
         features = np.array([[1.0, 0.0], [-1.0, 0.0]])
         query = Query(qid="q", features=features, relevance=[4, 0])
-        state = DbgdState(zero_ranker(2), learning_rate=0.001, comparator="oracle")
+        state = DbgdState(zero_ranker(2), comparator="oracle")
         updated = None
         for seed in range(50):
             new_state = dbgd_step(state, query, None, np.random.default_rng(seed))
@@ -243,7 +243,7 @@ class TestDbgdStep:
     def test_loss_or_tie_keeps_weights(self, rng, monkeypatch):
         outcomes = self.record_outcomes(monkeypatch, "_infer_from_masses")
         spec = click_model("perfect")
-        state = DbgdState(LinearRanker(np.array([0.5, -0.5, 0.1, 0.2])), learning_rate=0.001)
+        state = DbgdState(LinearRanker(np.array([0.5, -0.5, 0.1, 0.2])))
         query = self.make_query(rng)
         kept = 0
         for _ in range(100):
@@ -293,17 +293,7 @@ class TestDbgdStep:
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
-            DbgdState(zero_ranker(2), learning_rate=-1.0)
-        with pytest.raises(ValueError):
-            DbgdState(zero_ranker(2), sphere_radius=0.0)
-        with pytest.raises(ValueError):
             DbgdState(zero_ranker(2), comparator="nope")
-
-    @pytest.mark.parametrize("name", ["learning_rate", "sphere_radius", "tau"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
-    def test_hyperparameters_must_be_positive_and_finite(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
-            DbgdState(zero_ranker(2), **{name: value})
 
 
 class ForcedRoundUp:
@@ -329,7 +319,7 @@ class ForcedRoundUp:
         return getattr(self._rng, name)
 
 
-def random_step_case(rng, comparator, model, tau=None):
+def random_step_case(rng, comparator, model):
     """A state and query with few or many documents, and zero, tied or spread weights."""
     n = int(rng.choice([1, int(rng.integers(2, 10)), int(rng.integers(10, 60))]))
     dim = int(rng.integers(1, 8))
@@ -343,24 +333,20 @@ def random_step_case(rng, comparator, model, tau=None):
         weights = np.full(dim, 0.25)
     else:
         weights = rng.normal(size=dim) * float(rng.choice([0.01, 1.0, 100.0]))
-    state = DbgdState(
-        LinearRanker(weights),
-        learning_rate=float(rng.choice([0.001, 0.1, 1.0])),
-        sphere_radius=float(rng.choice([0.5, 1.0, 3.0])),
-        comparator=comparator,
-        tau=float(rng.choice([1.0, 3.0, 7.5])) if tau is None else tau,
-    )
+    state = DbgdState(LinearRanker(weights), comparator)
     query = Query(qid="q", features=features, relevance=rng.integers(0, 5, size=n))
     spec = None if comparator == "oracle" and rng.random() < 0.5 else click_model(model)
     return state, query, spec, int(rng.choice([1, 3, 10, 20]))
 
 
 def assert_steps_match(state, query, spec, k, rng_reference, rng_fused, steps):
-    """Run both steps side by side; return how many moved the weights."""
+    """Run both steps side by side, the reference at the protocol's constants; return how many moved the weights."""
     moved = 0
     reference = fused = state
     for _ in range(steps):
-        reference = reference_dbgd_step(reference, query, spec, rng_reference, k)
+        reference = reference_dbgd_step(
+            reference, query, spec, rng_reference, k, learning_rate=0.001, sphere_radius=1.0, tau=3.0
+        )
         new_fused = dbgd_step(fused, query, spec, rng_fused, k)
         assert np.array_equal(new_fused.ranker.weights, reference.ranker.weights)
         assert rng_fused.bit_generator.state == rng_reference.bit_generator.state
@@ -386,24 +372,6 @@ class TestStepMatchesReference:
         assert moved > 0
 
     @pytest.mark.parametrize("model", MODEL_NAMES)
-    def test_underflowing_masses(self, model):
-        # At tau = 2000 every mass below rank 1 underflows to 0, so once the
-        # top documents are shown the remaining total is 0 and the fallback
-        # picks every later position.  Credit then divides 0 by 0 on both
-        # sides alike.
-        rng = np.random.default_rng(2719)
-        assert 2.0**-2000 == 0.0
-        moved = 0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            for _ in range(40):
-                state, query, spec, k = random_step_case(rng, "probabilistic", model, tau=2000.0)
-                seed = int(rng.integers(1 << 32))
-                moved += assert_steps_match(
-                    state, query, spec, k, np.random.default_rng(seed), np.random.default_rng(seed), steps=8
-                )
-        assert moved > 0
-
-    @pytest.mark.parametrize("model", MODEL_NAMES)
     def test_forced_round_up(self, model):
         rng = np.random.default_rng(2720)
         forced = 0
@@ -423,17 +391,16 @@ class TestPublicFunctionsMatchReference:
         for trial in range(400):
             n = int(rng.choice([1, int(rng.integers(2, 12)), int(rng.integers(12, 60))]))
             k = int(rng.choice([1, 5, 10, 70]))
-            tau = float(rng.choice([0.5, 3.0, 10.0]))
             r_a, r_b = random_ranking_pair(rng, n)
             seed = int(rng.integers(1 << 32))
             rng_reference = ForcedRoundUp(seed) if trial % 4 == 0 else np.random.default_rng(seed)
             rng_new = ForcedRoundUp(seed) if trial % 4 == 0 else np.random.default_rng(seed)
-            expected = reference_probabilistic_interleave(r_a, r_b, k, rng_reference, tau)
-            displayed, assignments = probabilistic_interleave(r_a, r_b, k, rng_new, tau)
+            expected = reference_probabilistic_interleave(r_a, r_b, k, rng_reference, 3.0)
+            displayed, assignments = probabilistic_interleave(r_a, r_b, k, rng_new)
             assert np.array_equal(displayed, expected[0])
             assert np.array_equal(assignments, expected[1])
             assert rng_new.bit_generator.state == rng_reference.bit_generator.state
             for _ in range(4):
                 clicks = rng.random(displayed.size) < rng.random()
-                outcome = infer_preference_probabilistic(displayed, clicks, r_a, r_b, tau)
-                assert outcome.value == reference_infer_preference_probabilistic(displayed, clicks, r_a, r_b, tau)
+                outcome = infer_preference_probabilistic(displayed, clicks, r_a, r_b)
+                assert outcome.value == reference_infer_preference_probabilistic(displayed, clicks, r_a, r_b, 3.0)

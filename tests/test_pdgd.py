@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from oltrsim.clicks import Interaction
 from oltrsim.datasets import Query
-from oltrsim.pdgd import PdgdState, infer_pairwise_preferences, pdgd_update
+from oltrsim.pdgd import PdgdState, _pair_weights, infer_pairwise_preferences, pdgd_update
 from oltrsim.ranking import LinearRanker
 
 from _enumeration import pair_preference, pair_weights
@@ -121,6 +123,34 @@ class TestPairWeight:
         assert np.isfinite(weight)
         assert 0.0 <= weight <= 1.0
 
+    def test_every_document_displayed_with_underflowed_masses(self):
+        # With every document displayed no undisplayed mass keeps the
+        # sequential denominators positive, and over a spread of about 1000
+        # the masses exp(score - max) of the clicked document and those below
+        # it underflow to 0.  Each pair's rho must still match two full
+        # log-space evaluations, and the update must stay finite, silently.
+        rng = np.random.default_rng(110)
+        cases = [(np.array([[0.0], [-0.9], [-0.901]]), np.array([0, 1, 2]), np.array([False, True, False]))]
+        while len(cases) < 60:
+            n = int(rng.integers(2, 12))
+            features = np.append(0.0, rng.uniform(-1.0, 0.0, size=n - 1))[:, None]
+            displayed = rng.permutation(n)
+            clicks = rng.random(n) < 0.4
+            if clicks.any() and features[displayed[clicks.argmax()], 0] < -0.75:
+                cases.append((features, displayed, clicks))
+        for features, displayed, clicks in cases:
+            query = Query(qid="q", features=features, relevance=np.zeros(features.shape[0], dtype=np.int64))
+            state = PdgdState(LinearRanker(np.array([1000.0])))
+            scores = state.ranker.score_all(features)
+            pairs = infer_pairwise_preferences(interaction(clicks, ranking=displayed))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                weights, _ = _pair_weights(scores, displayed, pairs.clicked, pairs.unclicked)
+                after = pdgd_update(state, query, interaction(clicks, ranking=displayed))
+            for weight, i, j in zip(weights, pairs.clicked, pairs.unclicked):
+                assert weight == pytest.approx(rho_by_full_recompute(scores, displayed, i, j), abs=1e-9)
+            assert np.all(np.isfinite(after.ranker.weights))
+
 
 class TestUpdate:
     def test_no_clicks_leaves_weights_untouched(self):
@@ -133,7 +163,7 @@ class TestUpdate:
     def test_single_pair_equal_scores(self):
         # rho = 0.5, P(i>j) = P(j>i) = 0.5: pair weight 0.125.
         eta = 0.1
-        state = PdgdState(LinearRanker(np.zeros(2)), learning_rate=eta)
+        state = PdgdState(LinearRanker(np.zeros(2)))
         query = Query(qid="1", features=np.array([[1.0, 0.0], [0.0, 1.0]]), relevance=[1, 0])
         after = pdgd_update(state, query, interaction([1, 0]))
         expected = eta * 0.125 * (query.features[0] - query.features[1])
@@ -172,21 +202,12 @@ class TestUpdate:
             assert np.linalg.norm(implemented - numeric) / denom < 1e-6
 
     def test_moves_toward_clicked_document(self):
-        state = PdgdState(LinearRanker(np.zeros(2)), learning_rate=0.1)
+        state = PdgdState(LinearRanker(np.zeros(2)))
         features = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         query = Query(qid="1", features=features, relevance=[2, 0, 0])
         after = pdgd_update(state, query, interaction([1, 0, 0], ranking=[0, 1, 2]))
         new_scores = after.ranker.score_all(features)
         assert new_scores[0] > new_scores[1]
-
-    def test_invalid_learning_rate(self):
-        with pytest.raises(ValueError):
-            PdgdState(LinearRanker([1.0]), learning_rate=0.0)
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_learning_rate(self, value):
-        with pytest.raises(ValueError, match="^learning_rate must be positive and finite, got "):
-            PdgdState(LinearRanker([1.0]), learning_rate=value)
 
 
 def random_update_case(rng, n_docs, dim, spread, clicks=None, k=10):
@@ -199,19 +220,17 @@ def random_update_case(rng, n_docs, dim, spread, clicks=None, k=10):
     displayed = rng.permutation(n_docs)[: min(k, n_docs)]
     if clicks is None:
         clicks = rng.random(displayed.size) < rng.random()
-    state = PdgdState(LinearRanker(weights), learning_rate=float(rng.choice([0.1, 1.0, 10.0])))
+    state = PdgdState(LinearRanker(weights))
     query = Query(qid="q", features=features, relevance=grades)
     return state, query, interaction(clicks, ranking=displayed)
 
 
 class TestUpdateMatchesReference:
-    """pdgd_update against the list-based, two-sigmoid reference: equal bit for bit."""
+    """pdgd_update against the list-based, two-sigmoid reference at the step size 0.1: equal bit for bit."""
 
     @staticmethod
     def check(state, query, inter):
-        expected = reference_pdgd_update(
-            state.ranker.weights, query.features, inter.ranking, inter.clicks, state.learning_rate
-        )
+        expected = reference_pdgd_update(state.ranker.weights, query.features, inter.ranking, inter.clicks, 0.1)
         if not np.all(np.isfinite(expected)):
             with pytest.raises(ValueError, match="weights must be finite"):
                 pdgd_update(state, query, inter)
