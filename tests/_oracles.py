@@ -352,6 +352,15 @@ def reference_parse_letor(path, feature_dim=None):
     return queries, dim
 
 
+def reference_write_letor(queries, path):
+    """The LETOR writer formatting one numpy scalar at a time with ``float(v)!r``, as the package first did."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for q in queries:
+            for grade, doc in zip(q.relevance, q.features):
+                feats = " ".join(f"{fid + 1}:{float(v)!r}" for fid, v in enumerate(doc))
+                fh.write(f"{int(grade)} qid:{q.qid} {feats}\n")
+
+
 def reference_normalize_query_level(features):
     """One query's features min-max normalized per column into a new array.
 

@@ -25,7 +25,12 @@ from oltrsim.evaluation import evaluate_heldout
 from oltrsim.experiments import SyntheticSpec
 from oltrsim.ranking import LinearRanker
 
-from _oracles import reference_normalize_query_level, reference_parse_letor, synthetic_generating_weights
+from _oracles import (
+    reference_normalize_query_level,
+    reference_parse_letor,
+    reference_write_letor,
+    synthetic_generating_weights,
+)
 
 
 def write_tmp(tmp_path, text, name="data.txt"):
@@ -184,6 +189,146 @@ class TestParserMatchesReference:
             assert np.array_equal(q.relevance, grades)
 
 
+# Values as LETOR files write them, for canonical lines of the block tests.
+_CANONICAL_VALUES = ["0.5", "-2", "1e2", "7", "-0.0", "5e-324", "1e308", "0.001", "-1.25e-3", "3.141592653589793"]
+_BLOCK_WIDTH = 5
+
+
+def _canonical_lines(rng, count: int) -> list[str]:
+    """``count`` lines of ``_BLOCK_WIDTH`` features listing ids 1..m in order, in queries of up to 4 documents."""
+    lines = []
+    for i in range(count):
+        values = rng.choice(_CANONICAL_VALUES, size=_BLOCK_WIDTH)
+        line = f"{rng.integers(0, 5)} qid:{i // 4} " + " ".join(f"{fid}:{v}" for fid, v in enumerate(values, 1))
+        lines.append(line + (" #docid = 7" if rng.integers(3) == 0 else ""))
+    return lines
+
+
+def _tokens(edit):
+    """A line mutation that edits the line's space-separated tokens."""
+    return lambda line: " ".join(edit(line.split(" ")))
+
+
+# name -> (edit of one line, edits every line from there on, the line stays
+# canonical); a width change is canonical when it falls on a block boundary.
+_MUTATIONS = {
+    "sparse ids": (_tokens(lambda t: t[:3] + t[4:]), False, False),
+    "repeated id": (_tokens(lambda t: t[:4] + t[3:]), False, False),
+    "out-of-order ids": (_tokens(lambda t: t[:2] + [t[3], t[2]] + t[4:]), False, False),
+    "01: id": (_tokens(lambda t: t[:2] + ["0" + t[2]] + t[3:]), False, True),
+    "+1: id": (_tokens(lambda t: t[:2] + ["+" + t[2]] + t[3:]), False, True),
+    "1_0 value": (_tokens(lambda t: t[:3] + ["2:1_0"] + t[4:]), False, False),
+    "nan": (_tokens(lambda t: t[:3] + ["2:nan"] + t[4:]), False, False),
+    "inf": (_tokens(lambda t: t[:3] + ["2:inf"] + t[4:]), False, False),
+    "1e500": (_tokens(lambda t: t[:3] + ["2:1e500"] + t[4:]), False, False),
+    "1:2:3 token": (_tokens(lambda t: t[:2] + [t[2] + ":2", t[3][2:]] + t[4:]), False, False),  # "1:v:2 w"
+    "tab separator": (lambda line: line.replace(" ", "\t", 3), False, False),
+    "trailing spaces": (lambda line: line + "   ", False, True),
+    "CRLF": (lambda line: line + "\r", False, True),
+    "lone CR between lines": (lambda line: line + "\r" + line, False, False),
+    "lone CR in a line": (lambda line: line.replace(" 3:", "\r3:"), False, False),
+    **{
+        f"{ord(char):#04x} {where}": (edit, False, False)
+        for char in "\x0b\x0c\x1c\x1d\x1e\x1f"
+        for where, edit in (
+            ("separator", lambda line, char=char: line.replace(" 2:", char + "2:")),
+            ("after the qid", lambda line, char=char: line.replace(" 1:", char + " 1:")),
+            ("in a value", lambda line, char=char: line.replace(" 2:", " 2:" + char)),
+        )
+    },
+    "UTF-8 comment": (lambda line: line + " # café", False, False),
+    "not UTF-8": (lambda line: line + " # \udcff", False, False),
+    "wider from here": (lambda line: line.split(" #")[0] + f" {_BLOCK_WIDTH + 1}:0.25", True, None),
+    "narrower from here": (lambda line: line.split(" #")[0].rsplit(" ", 1)[0], True, None),
+    "non-contiguous qid": (_tokens(lambda t: [t[0], "qid:0"] + t[2:]), False, True),
+}
+
+
+class TestBlockParser:
+    """Files of many small blocks: a canonical block converts in bulk, any other goes through the line reader.
+
+    Each file has one mutation at a random line; the result, or the error
+    and the line it names, must be the reference parser's.
+    """
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(datasets, "_BLOCK_BYTES", 200)  # two or three lines a block
+        self.line_reads = []
+        read_lines = datasets._read_lines
+
+        def counted(rows, block, path, lineno):
+            self.line_reads.append(lineno)
+            return read_lines(rows, block, path, lineno)
+
+        monkeypatch.setattr(datasets, "_read_lines", counted)
+
+    @staticmethod
+    def assert_parses_as_reference(path):
+        try:
+            expected, expected_dim = reference_parse_letor(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                parse_letor(path)
+            assert str(raised.value) == str(exc)
+            return
+        queries, dim = parse_letor(path)
+        assert dim == expected_dim
+        assert [q.qid for q in queries] == [qid for qid, _, _ in expected]
+        for q, (_, features, grades) in zip(queries, expected):
+            assert q.features.view(np.int64).tolist() == features.view(np.int64).tolist()  # -0.0 too
+            assert q.relevance.tolist() == grades.tolist()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", list(_MUTATIONS))
+    def test_one_mutated_line(self, tmp_path, name, seed):
+        edit, from_here, canonical = _MUTATIONS[name]
+        rng = np.random.default_rng([seed, len(name)])
+        lines = _canonical_lines(rng, 30)
+        at = int(rng.integers(len(lines)))
+        lines[at:] = [edit(line) for line in lines[at:]] if from_here else [edit(lines[at])] + lines[at + 1:]
+        bad_end = seed % 2 == 1  # a last bad line, numbered after every block before it
+        path = tmp_path / "data.txt"
+        path.write_bytes(_rows(lines + ["0 qid:9 1:x"] * bad_end).encode("utf-8", "surrogateescape"))
+        if name == "not UTF-8":  # the reference decodes strictly
+            with pytest.raises(ValueError) as raised:
+                parse_letor(path)
+            assert str(raised.value) == f"{path}: line {at + 1}: not UTF-8 text (invalid start byte)"
+        else:
+            self.assert_parses_as_reference(path)
+        if not bad_end:
+            assert len(self.line_reads) in {True: [0], False: [1], None: [0, 1]}[canonical]
+
+    def test_canonical_files_never_reach_the_line_reader(self, tmp_path):
+        rng = np.random.default_rng(5)
+        for newline in ("\n", "\r\n"):
+            lines = _canonical_lines(rng, 40)
+            lines[3] += "   "
+            lines[9] = lines[9].replace("qid:2", "qid:0")
+            lines[12] = lines[12].replace(" 1:", " 01:")
+            lines[17:17] = ["", "# a comment", "   "]
+            path = tmp_path / "data.txt"
+            path.write_bytes(newline.join(lines).encode())  # the last line has no line break
+            self.assert_parses_as_reference(path)
+        assert self.line_reads == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_number_tokens(self, tmp_path_factory, data):
+        # Ids and values drawn from the characters a canonical block lets through.
+        number = st.text(alphabet="0123456789+-.eE", min_size=1, max_size=5)
+        lines = _canonical_lines(np.random.default_rng(data.draw(st.integers(0, 9))), 12)
+        at = data.draw(st.integers(0, len(lines) - 1))
+        tokens = lines[at].split(" #")[0].split(" ")
+        at_token = data.draw(st.integers(2, len(tokens) - 1))  # feature id at_token - 1
+        fid = data.draw(st.one_of(st.just(str(at_token - 1)), number))
+        tokens[at_token] = fid + ":" + data.draw(number)
+        lines[at] = " ".join(tokens)
+        path = tmp_path_factory.mktemp("letor") / "data.txt"
+        path.write_text(_rows(lines))
+        self.assert_parses_as_reference(path)
+
+
 class TestRoundTrip:
     def test_write_then_parse_is_identity(self, tmp_path):
         for seed in range(25):
@@ -203,6 +348,22 @@ class TestRoundTrip:
                 assert recovered.qid == original.qid
                 assert np.array_equal(recovered.features, original.features)
                 assert np.array_equal(recovered.relevance, original.relevance)
+
+
+    def test_writes_the_bytes_of_the_reference_writer(self, tmp_path):
+        special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -3.0, 1e16, 2.0**53, 0.1, 1 / 3])
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            queries = []
+            for i in range(int(rng.integers(1, 5))):
+                n, width = int(rng.integers(1, 5)), int(rng.integers(0, 6))
+                features = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-5, 6, size=(n, width))
+                picks = rng.random(size=features.shape) < 0.5
+                features[picks] = rng.choice(special, size=int(picks.sum()))
+                queries.append(Query(qid=f"q{i}", features=features, relevance=rng.integers(0, 5, size=n)))
+            write_letor(queries, tmp_path / "new.txt")
+            reference_write_letor(queries, tmp_path / "old.txt")
+            assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
 
 
 class TestNormalize:

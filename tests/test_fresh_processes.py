@@ -116,22 +116,29 @@ print(json.dumps({"grown": grown, "features": sum(q.features.nbytes for q in dat
 """
 
 
-def write_wide_letor(path, docs, seed):
-    """``docs`` lines of 136 features in queries of 100 documents, written with ``%.6g``."""
+def write_wide_letor(path, docs, seed, comments=False):
+    """``docs`` lines of 136 features in queries of 100 documents, written with ``%.6g``.
+
+    With ``comments``, each line ends with a LETOR 4.0-style ``#docid = ...`` comment.
+    """
     rng = np.random.default_rng(seed)
-    row = "%d qid:%d " + " ".join(f"{fid}:%.6g" for fid in range(1, 137)) + "\n"
+    row = "%d qid:%d " + " ".join(f"{fid}:%.6g" for fid in range(1, 137))
     with open(path, "w", encoding="utf-8") as fh:
         for i, values in enumerate(rng.normal(size=(docs, 136))):
-            fh.write(row % (i % 5, i // 100, *values))
+            comment = f" #docid = GX{i:06d} inc = 1 prob = 0.5" if comments else ""
+            fh.write(row % (i % 5, i // 100, *values) + comment + "\n")
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_load_holds_one_copy_of_the_features(tmp_path, workers):
+@pytest.mark.parametrize(
+    "workers, comments",
+    [pytest.param(1, False, id="1"), pytest.param(2, False, id="2"), pytest.param(1, True, id="1-docid"), pytest.param(2, True, id="2-docid")],
+)
+def test_load_holds_one_copy_of_the_features(tmp_path, workers, comments):
     # A load that copied each split while normalizing, or received the
     # forked test parse as a pickle, grew the peak by about 1.5x the features.
     train, test = tmp_path / "train.txt", tmp_path / "test.txt"
-    write_wide_letor(train, 10_000, seed=1)
-    write_wide_letor(test, 10_000, seed=2)
+    write_wide_letor(train, 10_000, seed=1, comments=comments)
+    write_wide_letor(test, 10_000, seed=2, comments=comments)
     done = fresh_python(["-c", LOAD_PEAK, str(train), str(test), str(workers)], cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     peak = json.loads(done.stdout)
