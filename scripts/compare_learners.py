@@ -3,9 +3,10 @@
 
 Executes every arm of ``oltrsim.experiments.PAPER_ARMS`` (PDGD and DBGD
 with probabilistic interleaving or an oracle comparator, under perfect and
-almost-random users), prints a summary table with Welch significance tests
-against dbgd_prob_perfect, and writes the usual trace/summary/curve
-outputs into one directory per arm, named after it.
+almost-random users) as ``oltrsim run`` does, writing the usual
+trace/summary/curve outputs into one directory per arm, named after it.
+It ends with ``oltrsim compare``'s report over the arm directories: a
+Welch test of every arm against dbgd_prob_perfect.
 
 Usage:
     python scripts/compare_learners.py --out results/comparison
@@ -17,10 +18,8 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from oltrsim.cli import count_at_least
-from oltrsim.experiments import PAPER_ARMS, arm_config, compare_results, emit_outputs, run_experiment
+from oltrsim.cli import compare_report, count_at_least, run_config
+from oltrsim.experiments import PAPER_ARMS, arm_config
 
 REFERENCE = "dbgd_prob_perfect"
 
@@ -33,33 +32,24 @@ def main() -> int:
     parser.add_argument("--workers", type=count_at_least(1), default=None)
     args = parser.parse_args()
 
-    out_dirs = {name: os.path.join(args.out, name) for name in PAPER_ARMS}
+    # The reference runs last, as compare tests every directory against the last.
+    names = [name for name in PAPER_ARMS if name != REFERENCE] + [REFERENCE]
+    out_dirs = [os.path.join(args.out, name) for name in names]
     # Made before the first arm runs, so that an output path that cannot be a
     # directory fails at once and not after every arm.
-    for out_dir in out_dirs.values():
-        os.makedirs(out_dir, exist_ok=True)
+    try:
+        for out_dir in out_dirs:
+            os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
-    finals = {}
-    for name, out_dir in out_dirs.items():
-        config = arm_config(name, impressions=args.impressions, repeats=args.repeats, output_dir=out_dir)
+    for name, out_dir in zip(names, out_dirs):
         start = time.time()
-        results, summary = run_experiment(config, workers=args.workers)
-        emit_outputs(results, summary, config.output_dir)
-        finals[name] = np.asarray(summary["per_run_final"])
-        print(
-            f"{name:22s} ndcg@10 = {summary['final_ndcg_mean']:.4f} "
-            f"+/- {summary['final_ndcg_std']:.4f}  ({time.time() - start:.0f}s)"
-        )
-
-    print(f"\n{'arm':22s} {'mean':>8s} {'std':>8s} {'vs ' + REFERENCE:>22s}")
-    for name, values in finals.items():
-        if name == REFERENCE:
-            verdict = "-"
-        else:
-            test = compare_results(out_dirs[name], out_dirs[REFERENCE])
-            verdict = f"t={test['t']:+.2f}, p={test['p']:.1e}"
-        print(f"{name:22s} {values.mean():8.4f} {values.std(ddof=1):8.4f} {verdict:>22s}")
-    print(f"\noutputs under {args.out}/<arm>/")
+        run_config(arm_config(name, impressions=args.impressions, repeats=args.repeats, output_dir=out_dir), args.workers)
+        print(f"{name}: {time.time() - start:.0f}s")
+    print()
+    compare_report(out_dirs)
     return 0
 
 

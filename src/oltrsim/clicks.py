@@ -114,8 +114,10 @@ def _draw_clicks(click_probs: np.ndarray, spec: ClickModelSpec, rng: np.random.G
         observed = rng.random(m) < 1.0 / np.arange(1, m + 1)
         return observed & (rng.random(m) < click_probs)
     if spec.stop_prob_after_click == 0:
-        # Nothing stops the scan, so the loop below would draw exactly one
-        # number per position: draw them in one call from the same stream.
+        # A user who never stops draws one number per position, in one call
+        # (tests/_oracles.reference_simulate_cascading).  This is that user's
+        # stream, not a shortcut for the loop below, which draws a stop coin
+        # after every click even at probability 0: do not fold it in there.
         return rng.random(m) < click_probs
     clicks = np.zeros(m, dtype=bool)
     for pos, prob in enumerate(click_probs.tolist()):

@@ -35,15 +35,20 @@ class Query:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.relevance = np.asarray(self.relevance, dtype=np.int64)
+        relevance = np.asarray(self.relevance)
+        if relevance.dtype.kind not in "biu":  # a cast to int64 would truncate 1.7 to 1
+            relevance = relevance.astype(np.float64)
+            if not np.all(relevance == np.trunc(relevance)):
+                raise ValueError(f"query {self.qid}: relevance grade that is not a whole number")
         if self.features.ndim != 2 or self.features.shape[0] == 0:
             raise ValueError(f"query {self.qid}: features must be a non-empty 2-D matrix")
-        if self.relevance.shape != (self.features.shape[0],):
+        if relevance.shape != (self.features.shape[0],):
             raise ValueError(f"query {self.qid}: relevance length does not match document count")
         if not np.all(np.isfinite(self.features)):
             raise ValueError(f"query {self.qid}: non-finite feature value")
-        if self.relevance.min() < MIN_GRADE or self.relevance.max() > MAX_GRADE:
+        if relevance.min() < MIN_GRADE or relevance.max() > MAX_GRADE:
             raise ValueError(f"query {self.qid}: relevance grade outside [{MIN_GRADE}, {MAX_GRADE}]")
+        self.relevance = relevance.astype(np.int64, copy=False)
 
     @property
     def n_docs(self) -> int:

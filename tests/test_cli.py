@@ -191,6 +191,37 @@ class TestCompare:
         assert out == ""
         assert err.startswith(f"error: cannot compare a: {dir_a} with b: {dir_b}: impressions is 25 in a, 50 in b; ")
 
+    def test_each_dir_is_tested_against_the_last(self, tmp_path, capsys):
+        dir_a = run_config(tmp_path, "a")
+        dir_b = run_config(tmp_path, "b", base_seed=2)
+        reference = run_config(tmp_path, "r", base_seed=3)
+        capsys.readouterr()
+        expected = ""
+        for other in (dir_a, dir_b):
+            assert main(["compare", other, reference]) == 0
+            expected += capsys.readouterr().out
+        assert main(["compare", dir_a, dir_b, reference]) == 0
+        assert capsys.readouterr().out == expected
+        assert expected.count("welch two-sided") == 2
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_an_incomparable_pair_anywhere_is_refused_before_any_output(self, tmp_path, capsys, position):
+        dirs = [run_config(tmp_path, name, base_seed=seed) for name, seed in (("a", 1), ("b", 2), ("r", 3))]
+        dirs[position] = run_config(tmp_path, "long", impressions=50)
+        capsys.readouterr()
+        assert main(["compare", *dirs]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        # The first pair to fail: the long run against the reference, or the first dir against the long reference.
+        a, n_a, n_b = (dirs[position], 50, 25) if position < 2 else (dirs[0], 25, 50)
+        assert err.startswith(f"error: cannot compare a: {a} with b: {dirs[2]}: impressions is {n_a} in a, {n_b} in b; ")
+
+    def test_one_dir_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", run_config(tmp_path, "a")])
+        assert excinfo.value.code == 2
+        assert "the following arguments are required" in capsys.readouterr().err
+
     def test_summaries_with_the_old_baseline_keys_still_compare(self, tmp_path, capsys):
         # A summary.json written when configs had baseline_dir may carry it, a baseline block and the test's name.
         dir_a = run_config(tmp_path, "a")

@@ -39,6 +39,19 @@ def write_tmp(tmp_path, text, name="data.txt"):
     return path
 
 
+class TestQuery:
+    @pytest.mark.parametrize("grades", [[1.7, 2.2], [2.0, 0.5], np.array([np.nan, 1.0])])
+    def test_fractional_grade_refused(self, grades):
+        with pytest.raises(ValueError, match="^query q7: relevance grade that is not a whole number$"):
+            Query("q7", np.zeros((2, 3)), grades)
+
+    @pytest.mark.parametrize("grades", [[1.0, 2.0], [True, False], np.array([4, 0], dtype=np.uint8)])
+    def test_whole_grades_accepted(self, grades):
+        relevance = Query("q", np.zeros((2, 3)), grades).relevance
+        assert relevance.dtype == np.int64
+        assert relevance.tolist() == [int(g) for g in grades]
+
+
 class TestParseLetor:
     def test_line_format(self, tmp_path):
         queries, dim = parse_letor(write_tmp(tmp_path, "2 qid:1 1:0.5 3:1.0\n"))

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 import oltrsim
+from oltrsim.cli import main
+from oltrsim.experiments import PAPER_ARMS, arm_config
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_learners.py"
 
@@ -90,6 +92,38 @@ def test_compare_learners_refuses_bad_counts_before_any_arm(tmp_path, flag, valu
     assert f"argument {flag}: must be an integer >= {minimum}, got '{value}'" in done.stderr
     assert done.stdout == ""
     assert os.listdir(tmp_path) == []
+
+
+def test_compare_learners_refuses_an_unusable_out_before_any_arm(tmp_path):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "x"
+    done = fresh_python([str(SCRIPT), "--repeats", "2", "--impressions", "50", "--workers", "1", "--out", str(out)], cwd=tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ")
+    assert str(out) in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+    assert os.listdir(tmp_path) == ["file"]
+
+
+def test_compare_learners_prints_what_run_and_compare_print(tmp_path, capsys):
+    out = tmp_path / "out"
+    done = fresh_python([str(SCRIPT), "--repeats", "2", "--impressions", "50", "--workers", "1", "--out", str(out)], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    others = [name for name in PAPER_ARMS if name != "dbgd_prob_perfect"]
+    assert len(others) == 5
+    assert main(["compare", *(str(out / name) for name in others), str(out / "dbgd_prob_perfect")]) == 0
+    report = capsys.readouterr().out
+    assert report.count("welch two-sided") == 5
+    assert done.stdout.endswith(report)
+    # Running an arm's config again rewrites the same outputs and prints the same two lines.
+    for name in PAPER_ARMS:
+        config = arm_config(name, impressions=50, repeats=2, output_dir=str(out / name))
+        (tmp_path / f"{name}.json").write_text(json.dumps(config.to_dict()))
+        assert main(["run", str(tmp_path / f"{name}.json"), "--workers", "1"]) == 0
+        lines = capsys.readouterr().out
+        assert lines.count("\n") == 2
+        assert lines in done.stdout
 
 
 # Loads a LETOR pair and prints how much the peak resident set of this
