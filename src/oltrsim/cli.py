@@ -49,8 +49,7 @@ def _make_output_dir(path: str) -> list[str]:
 
 
 def run_config(config: ExperimentConfig, workers: int | None) -> None:
-    """Validate ``config``, execute its runs, write its outputs and print the two result lines."""
-    config.validate()  # before anything is made on disk
+    """Execute the runs of ``config``, checked when it was made, write its outputs and print two result lines."""
     # Made before the runs, so that an output path that cannot be a directory
     # fails at once and not after every run; removed again if the runs fail.
     made = _make_output_dir(config.output_dir)

@@ -15,7 +15,7 @@ import io
 import math
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from multiprocessing import get_context
 
@@ -25,48 +25,53 @@ MIN_GRADE = 0
 MAX_GRADE = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class Query:
-    """One query: a document feature matrix plus relevance grades."""
+    """One query's feature matrix and grades, checked when made: no field can then be reassigned."""
 
     qid: str
     features: np.ndarray  # (n_docs, feature_dim)
     relevance: np.ndarray  # (n_docs,) integer grades in [0, 4]
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        features = np.asarray(self.features, dtype=np.float64)
         relevance = np.asarray(self.relevance)
         if relevance.dtype.kind not in "biu":  # a cast to int64 would truncate 1.7 to 1
             relevance = relevance.astype(np.float64)
             if not np.all(relevance == np.trunc(relevance)):
                 raise ValueError(f"query {self.qid}: relevance grade that is not a whole number")
-        if self.features.ndim != 2 or self.features.shape[0] == 0:
+        if features.ndim != 2 or features.shape[0] == 0:
             raise ValueError(f"query {self.qid}: features must be a non-empty 2-D matrix")
-        if relevance.shape != (self.features.shape[0],):
+        if relevance.shape != (features.shape[0],):
             raise ValueError(f"query {self.qid}: relevance length does not match document count")
-        if not np.all(np.isfinite(self.features)):
+        if not np.all(np.isfinite(features)):
             raise ValueError(f"query {self.qid}: non-finite feature value")
         if relevance.min() < MIN_GRADE or relevance.max() > MAX_GRADE:
             raise ValueError(f"query {self.qid}: relevance grade outside [{MIN_GRADE}, {MAX_GRADE}]")
-        self.relevance = relevance.astype(np.int64, copy=False)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "relevance", relevance.astype(np.int64, copy=False))
 
     @property
     def n_docs(self) -> int:
         return self.features.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """Train/test query collections sharing one feature dimension."""
+    """Non-empty train/test splits of queries of ``feature_dim`` features, checked when made and held as tuples."""
 
-    train: list[Query] = field(default_factory=list)
-    test: list[Query] = field(default_factory=list)
-    feature_dim: int = 0
+    train: tuple[Query, ...]
+    test: tuple[Query, ...]
+    feature_dim: int
 
     def __post_init__(self):
+        object.__setattr__(self, "train", tuple(self.train))
+        object.__setattr__(self, "test", tuple(self.test))
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
-        for q in list(self.train) + list(self.test):
+        if not self.train or not self.test:
+            raise ValueError("experiment dataset needs non-empty train and test splits")
+        for q in self.train + self.test:
             if q.features.shape[1] != self.feature_dim:
                 raise ValueError(
                     f"query {q.qid}: feature dimension {q.features.shape[1]} != {self.feature_dim}"
@@ -371,9 +376,7 @@ def normalize_query_level(queries: list[Query]) -> list[Query]:
 
 
 def sample_query(dataset: Dataset, rng: np.random.Generator) -> Query:
-    """Uniformly sample one training query."""
-    if not dataset.train:
-        raise ValueError("dataset has no training queries")
+    """Uniformly sample one training query; a dataset always has one."""
     return dataset.train[rng.integers(len(dataset.train))]
 
 
@@ -450,54 +453,37 @@ def _zero_pad(queries: list[Query], dim: int) -> list[Query]:
     return padded
 
 
-def _write_all(fd: int, data) -> None:
-    """Write every byte of ``data`` to ``fd``, however many writes the pipe takes."""
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_into(pipe, buffer, path: str | os.PathLike) -> None:
-    """Fill ``buffer`` from ``pipe``; the pipe closing first means the child died."""
-    view = memoryview(buffer).cast("B")
-    while view:
-        got = pipe.readinto(view)
-        if not got:
-            raise RuntimeError(f"{path}: the forked parse ended before sending its rows")
-        view = view[got:]
-
-
 def _send_rows(path: str | os.PathLike, fd: int) -> None:
     """In the forked child: parse ``path`` and write its rows, or its error, to the pipe ``fd``.
 
-    A length-prefixed pickled header (the features' shape, grades, counts,
-    qids and width, or the exception) comes first, then the raw feature
-    bytes straight from the parse buffer.
+    A pickled header (the features' shape, grades, counts, qids and width,
+    or the exception) comes first, then the raw feature bytes straight
+    from the parse buffer.
     """
     try:
         features, *rest = _letor_arrays(path)
         header = (features.shape, *rest)
     except Exception as exc:
         features, header = None, exc
-    blob = pickle.dumps(header)
-    _write_all(fd, len(blob).to_bytes(8, "little") + blob)
-    if features is not None:
-        _write_all(fd, features)
-    os.close(fd)
+    with open(fd, "wb") as pipe:
+        pickle.dump(header, pipe)
+        if features is not None:
+            pipe.write(features)
 
 
 def _receive_rows(pipe, path: str | os.PathLike) -> tuple[list[Query], int]:
-    """Read what :func:`_send_rows` wrote: :func:`parse_letor`'s result, or raise its error."""
-    prefix = bytearray(8)
-    _read_into(pipe, prefix, path)
-    blob = bytearray(int.from_bytes(prefix, "little"))
-    _read_into(pipe, blob, path)
-    header = pickle.loads(blob)
+    """Read what :func:`_send_rows` wrote to the buffered ``pipe``: :func:`parse_letor`'s result, or raise its error."""
+    died = RuntimeError(f"{path}: the forked parse ended before sending its rows")
+    try:
+        header = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise died from None
     if isinstance(header, Exception):
         raise header
     shape, grades, counts, qids, dim = header
     features = np.empty(shape)
-    _read_into(pipe, features, path)
+    if pipe.readinto(features) != features.nbytes:
+        raise died
     return _queries(features, grades, counts, qids), dim
 
 
@@ -511,7 +497,7 @@ def _forked_parse(path: str | os.PathLike):
     joined on every path.
     """
     read_fd, write_fd = os.pipe()
-    with open(read_fd, "rb", buffering=0) as pipe:
+    with open(read_fd, "rb") as pipe:
         child = get_context("fork").Process(target=_send_rows, args=(path, write_fd))
         try:
             child.start()

@@ -265,8 +265,6 @@ def dbgd_step(
     Draws, in order: the direction, the tie-breaking shuffle of the current
     model's ranking and then the candidate's, the interleaving, the clicks.
     """
-    if query.n_docs < 1:
-        raise ValueError("query has no documents")
     direction = sample_unit_sphere(state.ranker.dim, rng)
     candidate = LinearRanker(state.ranker.weights + direction)
     features = query.features

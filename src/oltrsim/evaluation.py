@@ -6,6 +6,7 @@ when it is called: runs, which evaluate but never compare, load no scipy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +48,12 @@ class MetricTrace:
         return float(self.ndcg[-1])
 
 
-_DISCOUNTS = 1.0 / np.log2(np.arange(2, 2 + 64))
-
-
+@functools.cache
 def _discounts(length: int) -> np.ndarray:
-    global _DISCOUNTS
-    if length > _DISCOUNTS.size:
-        _DISCOUNTS = 1.0 / np.log2(np.arange(2, 2 + 2 * length))
-    return _DISCOUNTS[:length]
+    """The read-only discounts ``1 / log2(rank + 1)`` of ranks ``1..length``, built once per length."""
+    discounts = 1.0 / np.log2(np.arange(2, 2 + length))
+    discounts.flags.writeable = False
+    return discounts
 
 
 def ndcg_at_k(ranking: np.ndarray, grades: np.ndarray, k: int = 10) -> float:

@@ -81,6 +81,18 @@ def _check_object(owner: str, data) -> None:
         raise ValueError(f"{owner} must be a JSON object, got {data!r}")
 
 
+def _check_names(owner: str, data, cls) -> None:
+    """Refuse ``data`` unless it is an object naming only fields of ``cls`` and every one without a default."""
+    _check_object(owner, data)
+    fields = cls.__dataclass_fields__
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise ValueError(f"unknown {owner} fields: {sorted(unknown)}")
+    missing = [name for name, f in fields.items() if f.default is MISSING and name not in data]
+    if missing:
+        raise ValueError(f"{owner} is missing fields: {missing}")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Parameters of the synthetic dataset generator."""
@@ -98,13 +110,7 @@ class SyntheticSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "SyntheticSpec":
         """A spec from JSON-like input; non-objects and unknown, missing or ill-typed fields are refused by name."""
-        _check_object("synthetic spec", data)
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown synthetic spec fields: {sorted(unknown)}")
-        missing = [name for name, f in cls.__dataclass_fields__.items() if f.default is MISSING and name not in data]
-        if missing:
-            raise ValueError(f"synthetic spec is missing fields: {missing}")
+        _check_names("synthetic spec", data, cls)
         _check_field_types("synthetic spec", data, _SYNTHETIC_FIELD_KINDS)
         if "grade_bins" in data and not _is_number_list(data["grade_bins"]):
             raise ValueError(f"synthetic spec field grade_bins must be a list of numbers, got {data['grade_bins']!r}")
@@ -138,8 +144,10 @@ BUNDLED_SYNTHETIC = SyntheticSpec(
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """An experiment's learner, user, dataset and runs, every field checked when the config is made."""
+
     algorithm: str = "pdgd"
     comparator: str = dbgd.PROBABILISTIC
     click_model: str = clicks.PERFECT
@@ -152,8 +160,10 @@ class ExperimentConfig:
     num_checkpoints: int = 30
     output_dir: str = "results"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _check_field_types("config", vars(self), _CONFIG_FIELD_KINDS)
+        if not _is_of(self.synthetic, (SyntheticSpec, type(None))):
+            raise ValueError(f"config field synthetic must be a SyntheticSpec or None, got {self.synthetic!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.comparator not in dbgd.COMPARATORS:
@@ -181,13 +191,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        _check_object("config", data)
-        data = dict(data)
+        _check_names("config", data, cls)
         if data.get("synthetic") is not None:
-            data["synthetic"] = SyntheticSpec.from_dict(data["synthetic"])
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+            data = {**data, "synthetic": SyntheticSpec.from_dict(data["synthetic"])}
         return cls(**data)
 
     @classmethod
@@ -250,6 +256,8 @@ def checkpoint_schedule(impressions: int, num_checkpoints: int) -> list[int]:
     """
     if impressions < 1:
         raise ValueError("impressions must be >= 1")
+    if num_checkpoints < 1:
+        raise ValueError("num_checkpoints must be >= 1")
     # The points are r**i up to impressions: with r < 1 + 1/impressions every gap is
     # under one impression.  The 0.1% margin keeps logspace's rounding on the safe side.
     if (num_checkpoints - 1) * math.log1p(1 / impressions) > 1.001 * math.log(impressions):
@@ -281,10 +289,7 @@ def _run_seed(config: ExperimentConfig, run_index: int) -> tuple[int, np.random.
 
 
 def run_with_dataset(config: ExperimentConfig, run_index: int, data: datasets.Dataset) -> RunResult:
-    """Execute one seeded run against an already-loaded dataset."""
-    config.validate()
-    if not data.train or not data.test:
-        raise ValueError("experiment dataset needs non-empty train and test splits")
+    """Execute one seeded run of ``config`` on ``data``; each checked itself when it was made."""
     seed_value, seed_seq = _run_seed(config, run_index)
     rng = np.random.default_rng(seed_seq)
     click_spec = clicks.click_model(config.click_model)
@@ -365,7 +370,6 @@ def run_experiment(
     worker, a LETOR test file is parsed in a forked process while this one
     parses train.
     """
-    config.validate()
     n_workers = resolve_workers(workers)
     indices = list(range(config.repeats))
     data = load_config_dataset(config, n_workers)

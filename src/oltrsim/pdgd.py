@@ -9,7 +9,7 @@ the weighted sum of feature differences.
 The pairs of one interaction are a ``PreferencePairs``: two aligned arrays
 of display positions, clicked and unclicked, so that an update works on
 all of them at once.  The debiasing weights come from swap-index and span
-tables built once for the longest display list seen, and the weights and
+tables built once per display list length, and the weights and
 the pair preferences go through one sigmoid call (``_pair_weights``).
 
 Runs take steps of ``LEARNING_RATE`` = 0.1 (Oosterhuis & de Rijke 2018).
@@ -23,6 +23,7 @@ run engine passes the scores on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,32 +77,24 @@ def infer_pairwise_preferences(interaction: Interaction) -> PreferencePairs:
     )
 
 
-# (swap, span) for the longest display list seen so far; see _pair_tables.
-_PAIR_TABLES = (np.empty((0, 0, 0), dtype=np.intp), np.empty((0, 0, 0), dtype=bool))
-
-
+@functools.cache
 def _pair_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tables indexed by a pair of display positions ``[i, j]``, at least ``m`` long.
+    """Read-only tables indexed by a pair of display positions ``[i, j]``, for lists of ``m``.
 
-    ``swap[i, j]`` is ``arange`` with entries ``i`` and ``j`` exchanged,
+    ``swap[i, j]`` is ``arange(m)`` with entries ``i`` and ``j`` exchanged,
     and ``span[i, j]`` marks the positions ``p`` with
-    ``min(i, j) < p <= max(i, j)``.  Both are symmetric in ``i`` and ``j``,
-    and ``table[i, j, :m]`` for ``i, j < m`` is the table of length ``m``,
-    so only a longer list than any before builds new ones.  Each holds
-    ``m**3`` entries: 9 KB for the usual ``k = 10``.
+    ``min(i, j) < p <= max(i, j)``.  Both are symmetric in ``i`` and ``j``.
+    Each size is built once and cached; a table holds ``m**3`` entries,
+    9 KB for the usual ``k = 10``.
     """
-    global _PAIR_TABLES
-    swap, span = _PAIR_TABLES
-    if m > span.shape[0]:
-        pos = np.arange(m)
-        i, j = np.meshgrid(pos, pos, indexing="ij")
-        swap = np.broadcast_to(pos, (m, m, m)).copy()
-        swap[i, j, i] = j
-        swap[i, j, j] = i
-        span = (pos > np.minimum(i, j)[..., None]) & (pos <= np.maximum(i, j)[..., None])
-        swap.flags.writeable = False
-        span.flags.writeable = False
-        _PAIR_TABLES = swap, span
+    pos = np.arange(m)
+    i, j = np.meshgrid(pos, pos, indexing="ij")
+    swap = np.broadcast_to(pos, (m, m, m)).copy()
+    swap[i, j, i] = j
+    swap[i, j, j] = i
+    span = (pos > np.minimum(i, j)[..., None]) & (pos <= np.maximum(i, j)[..., None])
+    swap.flags.writeable = False
+    span.flags.writeable = False
     return swap, span
 
 
@@ -138,7 +131,7 @@ def _pair_weights(
     denoms = tail + placed[::-1].cumsum()[::-1]
 
     swap, span = _pair_tables(m)
-    swapped = swap[clicked_pos, unclicked_pos, :m]
+    swapped = swap[clicked_pos, unclicked_pos]
     placed_star = placed[swapped]
     denoms_star = tail + placed_star[:, ::-1].cumsum(axis=1)[:, ::-1]
     placed_scores = scores[displayed]
@@ -149,7 +142,7 @@ def _pair_weights(
         log_ratio = log_denoms - log_denoms_star
     else:
         log_ratio = np.log(denoms) - np.log(denoms_star)
-    log_odds = np.where(span[clicked_pos, unclicked_pos, :m], log_ratio, 0.0).sum(axis=1)
+    log_odds = np.where(span[clicked_pos, unclicked_pos], log_ratio, 0.0).sum(axis=1)
 
     margin = placed_scores[clicked_pos] - placed_scores[unclicked_pos]
     both = sigmoid(np.concatenate((log_odds, margin)))

@@ -1,7 +1,9 @@
 import multiprocessing
 import os
+import pickle
 import re
 import time
+from dataclasses import FrozenInstanceError
 from multiprocessing import get_context
 from types import SimpleNamespace
 
@@ -50,6 +52,23 @@ class TestQuery:
         relevance = Query("q", np.zeros((2, 3)), grades).relevance
         assert relevance.dtype == np.int64
         assert relevance.tolist() == [int(g) for g in grades]
+
+
+class TestDataset:
+    def test_empty_train_or_test_split_refused(self):
+        # Runs sample training queries and evaluate on test ones without checking either.
+        data = make_synthetic(1, 2, 2, seed=0)
+        message = "^experiment dataset needs non-empty train and test splits$"
+        with pytest.raises(ValueError, match=message):
+            Dataset(train=[], test=data.test, feature_dim=2)
+        with pytest.raises(ValueError, match=message):
+            Dataset(train=data.train, test=(), feature_dim=2)
+
+    def test_splits_cannot_be_replaced_or_emptied(self):
+        data = make_synthetic(2, 2, 2, seed=0)
+        with pytest.raises(FrozenInstanceError):
+            data.train = []
+        assert isinstance(data.train, tuple) and len(data.train) == 2
 
 
 class TestParseLetor:
@@ -452,11 +471,6 @@ class TestSampleQuery:
         for _ in range(300):
             assert sample_query(data, rng).qid not in test_qids
 
-    def test_empty_train_rejected(self, rng):
-        data = make_synthetic(1, 2, 2, seed=0)
-        empty = Dataset(train=[], test=data.test, feature_dim=2)
-        with pytest.raises(ValueError):
-            sample_query(empty, rng)
 
 
 class TestMakeSynthetic:
@@ -743,6 +757,23 @@ class TestWorkerCountInvariance:
             return arrays(path)
 
         monkeypatch.setattr(datasets, "_letor_arrays", dying_test_parse)
+        with pytest.raises(RuntimeError, match="^" + re.escape(f"{test}: the forked parse ended before sending its rows") + "$"):
+            load_dataset(train, test, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_rows_cut_short_are_refused(self, tmp_path, monkeypatch):
+        # The child sends its header and then dies inside the feature bytes.
+        lines = _dense_query("1", 6, 3, seed=15)
+        train, test = self.write_pair(tmp_path, _rows(lines), _rows(lines))
+        arrays = datasets._letor_arrays
+
+        def cut_short(path, fd):
+            features, *rest = arrays(path)
+            with open(fd, "wb") as pipe:
+                pickle.dump((features.shape, *rest), pipe)
+                pipe.write(features.tobytes()[:-8])
+
+        monkeypatch.setattr(datasets, "_send_rows", cut_short)
         with pytest.raises(RuntimeError, match="^" + re.escape(f"{test}: the forked parse ended before sending its rows") + "$"):
             load_dataset(train, test, workers=2)
         assert multiprocessing.active_children() == []

@@ -8,7 +8,7 @@ import sys
 import time
 import xml.etree.ElementTree as ET
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -71,6 +71,11 @@ class TestCheckpointSchedule:
         with pytest.raises(ValueError):
             checkpoint_schedule(0, 30)
 
+    @pytest.mark.parametrize("num_checkpoints", [0, -3])
+    def test_fewer_than_one_checkpoint_rejected_with_the_configs_message(self, num_checkpoints):
+        with pytest.raises(ValueError, match=r"^num_checkpoints must be >= 1$"):
+            checkpoint_schedule(10, num_checkpoints)
+
     @pytest.mark.parametrize(
         "impressions, num_checkpoints",
         [(20_000, 30), (1_000_000, 30), (4_000, 5), (2_000, 7), (300, 5), (200, 30)],
@@ -107,15 +112,15 @@ class TestCheckpointSchedule:
 class TestConfig:
     def test_validation_catches_bad_values(self):
         with pytest.raises(ValueError):
-            tiny_config(algorithm="sgd").validate()
+            tiny_config(algorithm="sgd")
         with pytest.raises(ValueError):
-            tiny_config(impressions=0).validate()
+            tiny_config(impressions=0)
         with pytest.raises(ValueError):
-            tiny_config(synthetic=None).validate()
+            tiny_config(synthetic=None)
         with pytest.raises(ValueError):
-            tiny_config(train_path="x.txt", test_path="y.txt").validate()
+            tiny_config(train_path="x.txt", test_path="y.txt")
         with pytest.raises(ValueError):
-            tiny_config(comparator="quantum").validate()
+            tiny_config(comparator="quantum")
 
     @pytest.mark.parametrize(
         "field, message",
@@ -131,7 +136,7 @@ class TestConfig:
     )
     def test_choice_refusals_name_the_value(self, field, message):
         with pytest.raises(ValueError) as excinfo:
-            tiny_config(**{field: "quantum"}).validate()
+            tiny_config(**{field: "quantum"})
         assert str(excinfo.value) == message
 
     @pytest.mark.parametrize(
@@ -152,7 +157,7 @@ class TestConfig:
         data = {**tiny_config().to_dict(), field: value}
         data["synthetic"] = asdict(TINY_SYNTH)
         with pytest.raises(ValueError, match=f"^config field {field} must be"):
-            ExperimentConfig.from_dict(data).validate()
+            ExperimentConfig.from_dict(data)
 
     @pytest.mark.parametrize("value", ["no", True, False, None])
     def test_normalize_is_an_unknown_field(self, value):
@@ -194,6 +199,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{owner} must be a JSON object, got"):
             ExperimentConfig.from_dict(data)
 
+    def test_synthetic_must_be_a_spec(self):
+        # A dict made in code is not turned into a spec, as from_dict turns a JSON object.
+        with pytest.raises(ValueError, match=r"^config field synthetic must be a SyntheticSpec or None, got \{"):
+            tiny_config(synthetic=asdict(TINY_SYNTH))
+
+    def test_a_config_cannot_be_changed_once_made(self):
+        config = tiny_config()
+        with pytest.raises(FrozenInstanceError):
+            config.impressions = 0
+        assert config.impressions == 40
+
     def test_json_round_trip(self, tmp_path):
         config = tiny_config(algorithm="dbgd", comparator="oracle", synthetic=replace(TINY_SYNTH, hardness=2.5))
         path = tmp_path / "config.json"
@@ -219,14 +235,14 @@ class TestShippedConfigs:
     @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
     def test_loads_and_validates(self, name):
         # Validation reads no dataset: the MSLR paths need not exist.
-        ExperimentConfig.from_json_file(os.path.join(CONFIGS_DIR, name)).validate()
+        ExperimentConfig.from_json_file(os.path.join(CONFIGS_DIR, name))
 
     def test_readme_example_validates(self):
         # The docs may not advertise a field that configs do not take.
         with open(os.path.join(REPO_DIR, "README.md"), encoding="utf-8") as fh:
             section = fh.read().split("### Config format", 1)[1]
         example = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
-        ExperimentConfig.from_dict(json.loads(example)).validate()
+        ExperimentConfig.from_dict(json.loads(example))
 
     @pytest.mark.parametrize("name", ["dbgd_perfect.json", "pdgd_perfect.json"])
     def test_synthetic_configs_use_the_bundled_set(self, name):
@@ -240,7 +256,6 @@ class TestPaperArms:
         arm = (config.algorithm, config.comparator, config.click_model, config.base_seed)
         assert arm == PAPER_ARMS["dbgd_oracle_perfect"]
         assert (config.synthetic, config.impressions, config.repeats) == (BUNDLED_SYNTHETIC, 300, 3)
-        config.validate()
         assert arm_config("dbgd_oracle_perfect", base_seed=7).base_seed == 7
 
     @pytest.mark.parametrize(
@@ -349,12 +364,18 @@ class TestRunExperiment:
             assert a.seed == b.seed
             assert np.array_equal(a.trace.ndcg, b.trace.ndcg)
 
-    def test_workers_share_the_parents_dataset(self, tmp_path, monkeypatch):
+    # Probabilistic DBGD draws its clicks through clicks.simulate, PDGD through its own path.
+    @pytest.mark.parametrize("algorithm", ["pdgd", "dbgd"])
+    def test_workers_share_the_parents_dataset(self, tmp_path, monkeypatch, algorithm):
         data = make_synthetic(4, 6, 3, seed=9)
         write_letor(data.train, tmp_path / "train.txt")
         write_letor(data.test, tmp_path / "test.txt")
         config = tiny_config(
-            synthetic=None, train_path=str(tmp_path / "train.txt"), test_path=str(tmp_path / "test.txt")
+            algorithm=algorithm,
+            comparator="probabilistic",
+            synthetic=None,
+            train_path=str(tmp_path / "train.txt"),
+            test_path=str(tmp_path / "test.txt"),
         )
         pid_log = tmp_path / "pids.txt"
         load = experiments.load_config_dataset

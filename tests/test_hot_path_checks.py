@@ -4,6 +4,8 @@ The messages are compared exactly, so a check that is made cheaper must
 still fire on the same input and say the same thing.
 """
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -41,12 +43,6 @@ def non_finite_update():
 
 def dbgd_step_on(state, query=QUERY, spec=click_model(PERFECT), k=10):
     dbgd_step(state, query, spec, np.random.default_rng(0), k)
-
-
-def query_without_documents():
-    query = Query(qid="q", features=np.zeros((1, 3)), relevance=[0])
-    query.features, query.relevance = np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
-    return query
 
 
 # dbgd_step has no non-finite case: a finite state's candidate and step add
@@ -110,10 +106,6 @@ CASES = {
         lambda: simulate(np.arange(3), [1, -1, 0], click_model(ALMOST_RANDOM_CASCADING), np.random.default_rng(0)),
         "grade outside [0, 4]",
     ),
-    "dbgd_step query without documents": (
-        lambda: dbgd_step_on(DbgdState(LinearRanker(np.zeros(3))), query_without_documents()),
-        "query has no documents",
-    ),
     "dbgd_step feature dimension mismatch": (
         lambda: dbgd_step_on(DbgdState(LinearRanker(np.zeros(2)))),
         "feature dimension 3 does not match ranker dimension 2",
@@ -162,3 +154,15 @@ def test_pdgd_update_without_clicks_skips_the_ranking_checks():
     # looks at the ranking: an empty ranking is never refused here.
     empty = Interaction(ranking=np.array([], dtype=np.int64), clicks=np.array([], dtype=bool))
     assert pdgd_update(STATE, QUERY, empty) is STATE
+
+
+def test_a_built_query_cannot_be_emptied():
+    # Query refuses a matrix without documents when it is made, and its
+    # fields cannot be reassigned, so dbgd_step does not check for one.
+    query = Query(qid="q", features=np.zeros((1, 3)), relevance=[0])
+    with pytest.raises(FrozenInstanceError):
+        query.features = np.zeros((0, 3))
+    with pytest.raises(FrozenInstanceError):
+        query.relevance = np.zeros(0, dtype=np.int64)
+    with pytest.raises(ValueError, match=r"^query q: features must be a non-empty 2-D matrix$"):
+        Query(qid="q", features=np.zeros((0, 3)), relevance=np.zeros(0, dtype=np.int64))
