@@ -383,6 +383,24 @@ def sample_query(dataset: Dataset, rng: np.random.Generator) -> Query:
 QUINTILE_GRADE_BINS = (0.2, 0.4, 0.6, 0.8)
 
 
+def check_synthetic(
+    num_queries: int, docs_per_query: int, feature_dim: int, seed: int, hardness: float, grade_bins: tuple[float, ...]
+) -> None:
+    """Refuse, naming it, an argument that :func:`make_synthetic` cannot generate from."""
+    if num_queries < 1 or docs_per_query < 1 or feature_dim < 1:
+        raise ValueError("num_queries, docs_per_query and feature_dim must all be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
+    if not np.isfinite(hardness):
+        raise ValueError(f"hardness must be finite, got {hardness!r}")
+    if not np.all(np.isfinite(grade_bins)):
+        raise ValueError(f"grade_bins must be finite, got {grade_bins!r}")
+    if len(grade_bins) != 4 or list(grade_bins) != sorted(grade_bins):
+        raise ValueError("grade_bins must be 4 increasing rank-fraction thresholds")
+    if hardness and feature_dim < 2:
+        raise ValueError("hardness > 0 needs feature_dim >= 2 for an orthogonal direction")
+
+
 def make_synthetic(
     num_queries: int,
     docs_per_query: int,
@@ -405,17 +423,9 @@ def make_synthetic(
     behave like feature sets that only partially explain relevance.
 
     ``num_queries`` queries are generated for each of train and test.
+    :func:`check_synthetic` refuses a bad argument first, as a ``SyntheticSpec`` does when made.
     """
-    if num_queries < 1 or docs_per_query < 1 or feature_dim < 1:
-        raise ValueError("num_queries, docs_per_query and feature_dim must all be >= 1")
-    if not np.isfinite(hardness):
-        raise ValueError(f"hardness must be finite, got {hardness!r}")
-    if not np.all(np.isfinite(grade_bins)):
-        raise ValueError(f"grade_bins must be finite, got {grade_bins!r}")
-    if len(grade_bins) != 4 or list(grade_bins) != sorted(grade_bins):
-        raise ValueError("grade_bins must be 4 increasing rank-fraction thresholds")
-    if hardness and feature_dim < 2:
-        raise ValueError("hardness > 0 needs feature_dim >= 2 for an orthogonal direction")
+    check_synthetic(num_queries, docs_per_query, feature_dim, seed, hardness, grade_bins)
     rng = np.random.default_rng(seed)
     hidden = rng.normal(size=feature_dim)
     hidden /= np.linalg.norm(hidden)

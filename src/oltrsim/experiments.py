@@ -36,15 +36,10 @@ DISPLAY_CUTOFF = 10
 _INTEGER = ((int,), "an integer")
 _NUMBER = ((int, float), "a number")
 
-# Field name -> (accepted types, description) for JSON input.
+# Field name -> (accepted types, description), checked when a spec or a config is made.
 _SYNTHETIC_FIELD_KINDS = {
     **dict.fromkeys(("num_queries", "docs_per_query", "feature_dim", "seed"), _INTEGER),
     "hardness": _NUMBER,
-}
-_CONFIG_FIELD_KINDS = {
-    **dict.fromkeys(("impressions", "repeats", "num_checkpoints", "base_seed"), _INTEGER),
-    "output_dir": ((str,), "a string"),
-    **dict.fromkeys(("train_path", "test_path"), ((str, type(None)), "a string or null")),
 }
 
 
@@ -54,12 +49,9 @@ def _is_of(value, types: tuple) -> bool:
 
 
 def _check_field_types(owner: str, values: dict, kinds: dict) -> None:
-    """Refuse, naming the field, a value in ``values`` that is not of its kind.
-
-    Fields absent from ``values`` are not checked.
-    """
+    """Refuse, naming the field, a value in ``values`` that is not of its kind."""
     for name, (types, described) in kinds.items():
-        if name in values and not _is_of(values[name], types):
+        if not _is_of(values[name], types):
             raise ValueError(f"{owner} field {name} must be {described}, got {values[name]!r}")
 
 
@@ -95,7 +87,7 @@ def _check_names(owner: str, data, cls) -> None:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Parameters of the synthetic dataset generator."""
+    """Synthetic dataset parameters, checked when made: each field's type, then :func:`datasets.check_synthetic`."""
 
     num_queries: int
     docs_per_query: int
@@ -105,27 +97,21 @@ class SyntheticSpec:
     grade_bins: tuple[float, ...] = datasets.QUINTILE_GRADE_BINS
 
     def __post_init__(self):
+        _check_field_types("synthetic spec", vars(self), _SYNTHETIC_FIELD_KINDS)
+        if not _is_number_list(self.grade_bins):
+            raise ValueError(f"synthetic spec field grade_bins must be a list of numbers, got {self.grade_bins!r}")
         object.__setattr__(self, "grade_bins", tuple(self.grade_bins))
+        datasets.check_synthetic(**vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SyntheticSpec":
-        """A spec from JSON-like input; non-objects and unknown, missing or ill-typed fields are refused by name."""
+        """A spec from JSON-like input; a non-object, an unknown or missing field or a bad value is refused by name."""
         _check_names("synthetic spec", data, cls)
-        _check_field_types("synthetic spec", data, _SYNTHETIC_FIELD_KINDS)
-        if "grade_bins" in data and not _is_number_list(data["grade_bins"]):
-            raise ValueError(f"synthetic spec field grade_bins must be a list of numbers, got {data['grade_bins']!r}")
         return cls(**data)
 
     def make(self) -> datasets.Dataset:
         """Generate the dataset this spec describes."""
-        return datasets.make_synthetic(
-            self.num_queries,
-            self.docs_per_query,
-            self.feature_dim,
-            self.seed,
-            hardness=self.hardness,
-            grade_bins=self.grade_bins,
-        )
+        return datasets.make_synthetic(**vars(self))
 
 
 # The benchmark dataset the desk-scale comparisons run on.  The quadratic
@@ -142,6 +128,14 @@ BUNDLED_SYNTHETIC = SyntheticSpec(
     hardness=1.5,
     grade_bins=(0.5, 0.75, 0.875, 0.95),
 )
+
+
+_CONFIG_FIELD_KINDS = {
+    **dict.fromkeys(("impressions", "repeats", "num_checkpoints", "base_seed"), _INTEGER),
+    "output_dir": ((str,), "a string"),
+    **dict.fromkeys(("train_path", "test_path"), ((str, type(None)), "a string or null")),
+    "synthetic": ((SyntheticSpec, type(None)), "a SyntheticSpec or None"),
+}
 
 
 @dataclass(frozen=True)
@@ -162,8 +156,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_field_types("config", vars(self), _CONFIG_FIELD_KINDS)
-        if not _is_of(self.synthetic, (SyntheticSpec, type(None))):
-            raise ValueError(f"config field synthetic must be a SyntheticSpec or None, got {self.synthetic!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.comparator not in dbgd.COMPARATORS:
@@ -311,8 +303,7 @@ def run_with_dataset(config: ExperimentConfig, run_index: int, data: datasets.Da
         trace_impressions.append(t)
         trace_ndcg.append(evaluate_heldout(state.ranker, data.test, 10))
 
-    if 0 in pending:
-        record(0)
+    record(0)
     for t in range(1, config.impressions + 1):
         state = step(state, datasets.sample_query(data, rng), click_spec, rng, DISPLAY_CUTOFF)
         if t in pending:

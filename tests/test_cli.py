@@ -93,6 +93,25 @@ class TestRun:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert os.listdir(tmp_path) == [config_path.name]
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("num_queries", 0, "num_queries, docs_per_query and feature_dim must all be >= 1"),
+            ("seed", -1, "seed must be non-negative, got -1"),
+            ("grade_bins", [0.9, 0.5, 0.2, 0.1], "grade_bins must be 4 increasing rank-fraction thresholds"),
+            ("hardness", float("nan"), "hardness must be finite, got nan"),
+        ],
+        ids=["num_queries-0", "seed-negative", "grade_bins-unsorted", "hardness-nan"],
+    )
+    def test_bad_synthetic_value_fails_before_any_run(self, tmp_path, capsys, monkeypatch, field, value, message):
+        # The spec refuses it when the config is read, before the output directory is made.
+        synthetic = {"num_queries": 5, "docs_per_query": 6, "feature_dim": 3, "seed": 3, field: value}
+        config_path, config = write_config(tmp_path, synthetic=synthetic)
+        monkeypatch.setattr("oltrsim.cli.run_experiment", _fail_if_called)
+        assert main(["run", str(config_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists(config["output_dir"])
+
     def test_baseline_dir_is_an_unknown_field(self, tmp_path, capsys, monkeypatch):
         # Result sets are compared with `oltrsim compare`, after both exist.
         config_path, _ = write_config(tmp_path, baseline_dir=str(tmp_path / "results"))

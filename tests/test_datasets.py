@@ -512,9 +512,8 @@ class TestMakeSynthetic:
         with pytest.raises(ValueError, match=f"^hardness must be finite, got {hardness!r}$"):
             make_synthetic(5, 5, 3, 3, hardness=hardness)
         fields = {"num_queries": 5, "docs_per_query": 5, "feature_dim": 3, "seed": 3, "hardness": hardness}
-        spec = SyntheticSpec.from_dict(fields)
-        with pytest.raises(ValueError, match="^hardness must be finite"):
-            spec.make()
+        with pytest.raises(ValueError, match=f"^hardness must be finite, got {hardness!r}$"):
+            SyntheticSpec.from_dict(fields)
 
     @pytest.mark.parametrize(
         "grade_bins",
@@ -526,9 +525,15 @@ class TestMakeSynthetic:
         with pytest.raises(ValueError, match="^" + re.escape(f"grade_bins must be finite, got {grade_bins!r}") + "$"):
             make_synthetic(3, 20, 3, 1, grade_bins=grade_bins)
         fields = {"num_queries": 3, "docs_per_query": 20, "feature_dim": 3, "seed": 1, "grade_bins": list(grade_bins)}
-        spec = SyntheticSpec.from_dict(fields)
-        with pytest.raises(ValueError, match="^grade_bins must be finite"):
-            spec.make()
+        with pytest.raises(ValueError, match="^" + re.escape(f"grade_bins must be finite, got {grade_bins!r}") + "$"):
+            SyntheticSpec.from_dict(fields)
+
+    def test_negative_seed_rejected_by_name(self):
+        # numpy's default_rng once refused it with "expected non-negative integer", naming no argument.
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            make_synthetic(3, 4, 2, -1)
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            SyntheticSpec(num_queries=3, docs_per_query=4, feature_dim=2, seed=-1)
 
 
 class TestLoadDataset:

@@ -204,6 +204,25 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"^config field synthetic must be a SyntheticSpec or None, got \{"):
             tiny_config(synthetic=asdict(TINY_SYNTH))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("num_queries", "3", "synthetic spec field num_queries must be an integer, got '3'"),
+            ("grade_bins", 5, "synthetic spec field grade_bins must be a list of numbers, got 5"),
+            ("hardness", None, "synthetic spec field hardness must be a number, got None"),
+            ("num_queries", 0, "num_queries, docs_per_query and feature_dim must all be >= 1"),
+            ("seed", -1, "seed must be non-negative, got -1"),
+            ("feature_dim", 1, "hardness > 0 needs feature_dim >= 2 for an orthogonal direction"),
+        ],
+        ids=["num_queries-str", "grade_bins-int", "hardness-None", "num_queries-0", "seed-negative", "feature_dim-1"],
+    )
+    def test_a_spec_made_in_code_checks_itself(self, field, value, message):
+        # A spec is valid by construction, so a config holding one is too; these
+        # were accepted, or raised a TypeError, until a run made the dataset.
+        fields = {"num_queries": 3, "docs_per_query": 4, "feature_dim": 2, "seed": 1, "hardness": 0.5, field: value}
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            SyntheticSpec(**fields)
+
     def test_a_config_cannot_be_changed_once_made(self):
         config = tiny_config()
         with pytest.raises(FrozenInstanceError):
