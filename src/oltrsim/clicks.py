@@ -90,17 +90,23 @@ def simulate(ranking, grades, spec: ClickModelSpec, rng: np.random.Generator) ->
     """Draw the clicks of ``spec``'s user on a displayed ranking.
 
     ``grades`` are the grades of the displayed documents, position-aligned
-    with ``ranking``.  A cascading scan leaves positions after a realized
-    stop unobserved and therefore unclicked.
+    with ``ranking``: whole numbers in [0, 4], as ``datasets.Query`` takes
+    them.  A cascading scan leaves positions after a realized stop
+    unobserved and therefore unclicked.
     """
     ranking = np.asarray(ranking)
-    grades = np.asarray(grades, dtype=np.int64)
+    grades = np.asarray(grades)
     if grades.shape != ranking.shape:
         raise ValueError("grades must align with the displayed ranking")
-    # Python's min and max on a list of at most k grades beat two numpy reductions.
+    if grades.dtype.kind not in "biu":  # a cast to int64 would truncate 1.7 to 1
+        grades = grades.astype(np.float64)
+        if not np.all(grades == np.trunc(grades)):
+            raise ValueError("grade that is not a whole number")
+    # Python's min and max on a displayed list's grades beat two numpy reductions.
     grade_list = grades.ravel().tolist()
     if grade_list and (min(grade_list) < 0 or max(grade_list) > 4):
         raise ValueError("grade outside [0, 4]")
+    grades = grades.astype(np.int64, copy=False)
     return Interaction(ranking=ranking, clicks=_draw_clicks(spec.prob_array[grades], spec, rng))
 
 

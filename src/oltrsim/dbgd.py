@@ -3,9 +3,11 @@
 Each impression perturbs the current model along a random unit direction,
 ranks the query with both models, and asks a comparator whether the
 perturbed candidate is preferred.  Runs follow Hofmann et al. 2011: the
-direction is drawn from the unit sphere, probabilistic interleaving softens
-rankings with ``TAU`` = 3, and only a win for the candidate moves the
-weights, by ``LEARNING_RATE`` = 0.001 along the direction.
+direction is drawn from the unit sphere, the interleavers show the top
+``ranking.DISPLAY_CUTOFF`` = 10 (all of a shorter query), probabilistic
+interleaving softens rankings with ``TAU`` = 3, the oracle compares the two
+rankings' NDCG@10, and only a win for the candidate moves the weights, by
+``LEARNING_RATE`` = 0.001 along the direction.
 
 :func:`dbgd_step` makes one pass over an impression and builds each
 intermediate once.  It scores both models, ranks them with the shuffle and
@@ -21,8 +23,8 @@ The cores give bit-identical results to drawing one number at a time and
 masking the masses anew at every position:
 
 * Every display position draws exactly one side coin and then one document
-  draw, so one ``rng.random(2 * m)`` call yields the same numbers in the
-  same order.
+  draw, so one ``rng.random(2 * m)`` call for ``m = min(DISPLAY_CUTOFF, n)``
+  positions yields the same numbers in the same order.
 * Interleaving keeps a live copy of each mass vector in which the
   displayed documents are zero.  For finite masses, ``mass * True`` is
   ``mass`` and ``mass * False`` is ``0.0``, so that copy equals
@@ -43,7 +45,7 @@ import numpy as np
 from .clicks import ClickModelSpec, simulate
 from .datasets import Query
 from .evaluation import ndcg_at_k
-from .ranking import LinearRanker, _order_by_score, sample_unit_sphere
+from .ranking import DISPLAY_CUTOFF, LinearRanker, _order_by_score, sample_unit_sphere
 
 PROBABILISTIC = "probabilistic"
 TEAM_DRAFT = "team_draft"
@@ -101,12 +103,9 @@ def _check_ranking_pair(r_a: np.ndarray, r_b: np.ndarray) -> tuple[np.ndarray, n
 
 
 def probabilistic_interleave(
-    r_a: np.ndarray,
-    r_b: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
+    r_a: np.ndarray, r_b: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw a displayed list by mixing rank-softened versions of two rankings.
+    """Draw a displayed list of ``min(DISPLAY_CUTOFF, n)`` by mixing rank-softened versions of two rankings.
 
     Each ranking is softened into a distribution with mass proportional to
     ``1 / rank**TAU``.  For every display position a fair coin picks one
@@ -118,16 +117,15 @@ def probabilistic_interleave(
     for the ranking whose distribution produced position ``p``.
     """
     r_a, r_b = _check_ranking_pair(r_a, r_b)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _interleave_from_masses(_rank_softness(r_a), _rank_softness(r_b), min(k, r_a.size), rng)
+    return _interleave_from_masses(_rank_softness(r_a), _rank_softness(r_b), rng)
 
 
 def _interleave_from_masses(
-    mass_a: np.ndarray, mass_b: np.ndarray, m: int, rng: np.random.Generator
+    mass_a: np.ndarray, mass_b: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilistic interleaving of ``m`` positions from two softened rankings' masses."""
+    """Probabilistic interleaving of ``min(DISPLAY_CUTOFF, n)`` positions from two softened rankings' masses."""
     n = mass_a.size
+    m = min(DISPLAY_CUTOFF, n)
     # Per position: the side coin, then the document draw.
     draws = rng.random(2 * m).tolist()
     live = (mass_a.copy(), mass_b.copy())  # displayed documents zeroed
@@ -197,22 +195,18 @@ def _infer_from_masses(
 
 
 def team_draft_interleave(
-    r_a: np.ndarray,
-    r_b: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
+    r_a: np.ndarray, r_b: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Alternating team picks: each side contributes its best remaining document.
 
-    A coin decides which side picks first in each round.  Returns
+    A coin decides which side picks first in each round, until
+    ``min(DISPLAY_CUTOFF, n)`` documents are shown.  Returns
     ``(displayed, teams)`` with ``teams[p]`` 0 or 1 for the side that
     contributed position ``p``.
     """
     r_a, r_b = _check_ranking_pair(r_a, r_b)
     n = r_a.size
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    m = min(k, n)
+    m = min(DISPLAY_CUTOFF, n)
     rankings = (r_a, r_b)
     pointers = [0, 0]
     used = np.zeros(n, dtype=bool)
@@ -248,46 +242,36 @@ def team_draft_infer(teams: np.ndarray, clicks: np.ndarray) -> ComparisonOutcome
     return _outcome(credit_a, credit_b)
 
 
-def oracle_compare(r_a: np.ndarray, r_b: np.ndarray, grades: np.ndarray, k: int = 10) -> ComparisonOutcome:
-    """Judge by true NDCG@k on the current query; ties favor neither."""
-    return _outcome(ndcg_at_k(r_a, grades, k), ndcg_at_k(r_b, grades, k))
+def oracle_compare(r_a: np.ndarray, r_b: np.ndarray, grades: np.ndarray) -> ComparisonOutcome:
+    """Judge by true NDCG@``DISPLAY_CUTOFF`` on the current query; ties favor neither."""
+    return _outcome(ndcg_at_k(r_a, grades, DISPLAY_CUTOFF), ndcg_at_k(r_b, grades, DISPLAY_CUTOFF))
 
 
-def dbgd_step(
-    state: DbgdState,
-    query: Query,
-    click_spec: ClickModelSpec | None,
-    rng: np.random.Generator,
-    k: int = 10,
-) -> DbgdState:
+def dbgd_step(state: DbgdState, query: Query, click_spec: ClickModelSpec, rng: np.random.Generator) -> DbgdState:
     """One impression of perturb, compare, and conditionally update.
 
     Draws, in order: the direction, the tie-breaking shuffle of the current
     model's ranking and then the candidate's, the interleaving, the clicks.
+    The oracle comparator draws no interleaving and no clicks, so it never
+    reads ``click_spec``.
     """
     direction = sample_unit_sphere(state.ranker.dim, rng)
-    candidate = LinearRanker(state.ranker.weights + direction)
     features = query.features
     ranking_current = _order_by_score(state.ranker.score_all(features), rng)
-    ranking_candidate = _order_by_score(features @ candidate.weights, rng)
+    ranking_candidate = _order_by_score(features @ (state.ranker.weights + direction), rng)
 
     if state.comparator == ORACLE:
-        outcome = oracle_compare(ranking_current, ranking_candidate, query.relevance, k)
+        outcome = oracle_compare(ranking_current, ranking_candidate, query.relevance)
+    elif state.comparator == PROBABILISTIC:
+        mass_current = _rank_softness(ranking_current)
+        mass_candidate = _rank_softness(ranking_candidate)
+        displayed, _ = _interleave_from_masses(mass_current, mass_candidate, rng)
+        interaction = simulate(displayed, query.relevance[displayed], click_spec, rng)
+        outcome = _infer_from_masses(displayed, interaction.clicks, mass_current, mass_candidate)
     else:
-        if click_spec is None:
-            raise ValueError(f"comparator {state.comparator!r} needs a click model")
-        if state.comparator == PROBABILISTIC:
-            if k < 1:
-                raise ValueError("k must be >= 1")
-            mass_current = _rank_softness(ranking_current)
-            mass_candidate = _rank_softness(ranking_candidate)
-            displayed, _ = _interleave_from_masses(mass_current, mass_candidate, min(k, query.n_docs), rng)
-            interaction = simulate(displayed, query.relevance[displayed], click_spec, rng)
-            outcome = _infer_from_masses(displayed, interaction.clicks, mass_current, mass_candidate)
-        else:
-            displayed, teams = team_draft_interleave(ranking_current, ranking_candidate, k, rng)
-            interaction = simulate(displayed, query.relevance[displayed], click_spec, rng)
-            outcome = team_draft_infer(teams, interaction.clicks)
+        displayed, teams = team_draft_interleave(ranking_current, ranking_candidate, rng)
+        interaction = simulate(displayed, query.relevance[displayed], click_spec, rng)
+        outcome = team_draft_infer(teams, interaction.clicks)
 
     if outcome is not ComparisonOutcome.CANDIDATE:
         return state

@@ -14,6 +14,9 @@ import numpy as np
 from .datasets import Query
 from .ranking import LinearRanker, rank_deterministic
 
+# The reported metric is NDCG@10, whatever a run displays (ranking.DISPLAY_CUTOFF).
+HELDOUT_CUTOFF = 10
+
 # Fixed stream for tie-breaking during held-out evaluation, so repeated
 # evaluations of the same model return identical values.
 EVAL_TIE_SEED = 271828
@@ -74,8 +77,8 @@ def ndcg_at_k(ranking: np.ndarray, grades: np.ndarray, k: int = 10) -> float:
     return dcg / idcg
 
 
-def evaluate_heldout(ranker: LinearRanker, test: list[Query], k: int = 10) -> float:
-    """Mean NDCG@k of the ranker's deterministic rankings over test queries.
+def evaluate_heldout(ranker: LinearRanker, test: list[Query]) -> float:
+    """Mean NDCG@10 (``HELDOUT_CUTOFF``) of the ranker's deterministic rankings over test queries.
 
     Tie-breaking uses a fixed internal seed, so the result is a pure
     function of the ranker and the test set.
@@ -85,8 +88,8 @@ def evaluate_heldout(ranker: LinearRanker, test: list[Query], k: int = 10) -> fl
     rng = np.random.default_rng(EVAL_TIE_SEED)
     total = 0.0
     for q in test:
-        ranking = rank_deterministic(ranker, q.features, k, rng)
-        total += ndcg_at_k(ranking, q.relevance, k)
+        ranking = rank_deterministic(ranker, q.features, rng)
+        total += ndcg_at_k(ranking, q.relevance, HELDOUT_CUTOFF)
     return total / len(test)
 
 

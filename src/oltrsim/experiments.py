@@ -26,13 +26,6 @@ from .ranking import zero_ranker
 
 ALGORITHMS = ("dbgd", "pdgd")
 
-# Runs follow the standard protocol (Hofmann et al. 2011; Oosterhuis & de
-# Rijke 2018): a top-10 display, PDGD at learning rate 0.1, DBGD at 0.001 on
-# the unit sphere and probabilistic interleaving at tau = 3.  No config sets
-# them: the step sizes and tau are constants of the pdgd and dbgd modules.
-DISPLAY_CUTOFF = 10
-
-
 _INTEGER = ((int,), "an integer")
 _NUMBER = ((int, float), "a number")
 
@@ -299,13 +292,12 @@ def run_with_dataset(config: ExperimentConfig, run_index: int, data: datasets.Da
         state, step = dbgd.DbgdState(zero_ranker(data.feature_dim), config.comparator), dbgd.dbgd_step
 
     def record(t: int) -> None:
-        # The reported metric is NDCG@10 regardless of the display cutoff.
         trace_impressions.append(t)
-        trace_ndcg.append(evaluate_heldout(state.ranker, data.test, 10))
+        trace_ndcg.append(evaluate_heldout(state.ranker, data.test))
 
     record(0)
     for t in range(1, config.impressions + 1):
-        state = step(state, datasets.sample_query(data, rng), click_spec, rng, DISPLAY_CUTOFF)
+        state = step(state, datasets.sample_query(data, rng), click_spec, rng)
         if t in pending:
             record(t)
 

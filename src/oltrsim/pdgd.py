@@ -1,6 +1,7 @@
 """Pairwise differentiable gradient descent over sampled rankings.
 
-Each impression displays a ranking sampled from the model's Plackett-Luce
+Each impression displays the top ``ranking.DISPLAY_CUTOFF`` = 10 (all of a
+shorter query) of a ranking sampled from the model's Plackett-Luce
 distribution.  Clicks are turned into pairwise preferences between clicked
 and observed-but-unclicked documents, each weighted to cancel the bias the
 displayed ordering introduces, and the model takes one gradient step along
@@ -85,7 +86,7 @@ def _pair_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
     and ``span[i, j]`` marks the positions ``p`` with
     ``min(i, j) < p <= max(i, j)``.  Both are symmetric in ``i`` and ``j``.
     Each size is built once and cached; a table holds ``m**3`` entries,
-    9 KB for the usual ``k = 10``.
+    9 KB for a full display of ``DISPLAY_CUTOFF`` = 10.
     """
     pos = np.arange(m)
     i, j = np.meshgrid(pos, pos, indexing="ij")
@@ -170,14 +171,8 @@ def pdgd_update(state: PdgdState, query: Query, interaction: Interaction) -> Pdg
     return PdgdState(LinearRanker(state.ranker.weights + LEARNING_RATE * gradient))
 
 
-def _pdgd_step(
-    state: PdgdState,
-    query: Query,
-    click_spec: ClickModelSpec,
-    rng: np.random.Generator,
-    k: int,
-) -> PdgdState:
-    """One PDGD impression: sample a top-``k`` list, draw its clicks, update.
+def _pdgd_step(state: PdgdState, query: Query, click_spec: ClickModelSpec, rng: np.random.Generator) -> PdgdState:
+    """One PDGD impression: sample a top-``DISPLAY_CUTOFF`` list, draw its clicks, update.
 
     Draws and returns what ``sample_ranking``, ``clicks.simulate`` and
     ``pdgd_update`` would in turn, but scores the query once for the sample
@@ -186,6 +181,6 @@ def _pdgd_step(
     global at every call, so its checks run and a wrapper of it sees every
     update.
     """
-    displayed = _sample_from_scores(query.features @ state.ranker.weights, k, rng)
+    displayed = _sample_from_scores(query.features @ state.ranker.weights, rng)
     clicked = _draw_clicks(click_spec.prob_array[query.relevance[displayed]], click_spec, rng)
     return pdgd_update(state, query, Interaction(displayed, clicked))

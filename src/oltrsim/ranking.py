@@ -1,5 +1,12 @@
 """Linear ranking models, deterministic ranking and Plackett-Luce sampling.
 
+Every displayed list holds the top ``DISPLAY_CUTOFF`` = 10 documents, or
+all of a shorter query's (Hofmann et al. 2011; Oosterhuis & de Rijke
+2018).  No function takes the length: :func:`sample_ranking` and the
+interleavers of :mod:`oltrsim.dbgd` show ``min(DISPLAY_CUTOFF, n)``
+documents, and :func:`rank_deterministic` returns the whole order, which
+held-out evaluation cuts to the metric's own top 10.
+
 All randomized operations take an explicit ``numpy.random.Generator`` so
 that every caller controls its own stream; the functions themselves hold
 no state and are safe to use from multiple threads as long as each thread
@@ -11,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+DISPLAY_CUTOFF = 10
 
 
 @dataclass
@@ -72,24 +81,15 @@ def check_ranking(ranking: np.ndarray, n_docs: int) -> np.ndarray:
     return ranking
 
 
-def rank_deterministic(
-    ranker: LinearRanker,
-    candidates: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Top-``min(k, n)`` documents by descending score, random tie-breaking.
+def rank_deterministic(ranker: LinearRanker, candidates: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Every document by descending score, random tie-breaking.
 
     Ties are broken by shuffling the candidates uniformly before a stable
     sort, so equal-scored documents appear in uniformly random relative
     order.  Zero-initialized models therefore produce uniformly random
     rankings instead of a frozen one.
     """
-    candidates = _check_candidates(candidates)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    scores = ranker.score_all(candidates)
-    return _order_by_score(scores, rng)[: min(k, scores.shape[0])]
+    return _order_by_score(ranker.score_all(_check_candidates(candidates)), rng)
 
 
 def _order_by_score(scores: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -102,13 +102,8 @@ def _order_by_score(scores: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return perm[np.argsort(-scores[perm], kind="stable")]
 
 
-def sample_ranking(
-    ranker: LinearRanker,
-    candidates: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample a top-``min(k, n)`` ranking from the model's Plackett-Luce distribution.
+def sample_ranking(ranker: LinearRanker, candidates: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Sample a top-``min(DISPLAY_CUTOFF, n)`` ranking from the model's Plackett-Luce distribution.
 
     Sequentially draws documents without replacement, each with probability
     ``exp(score) / sum(exp(score) over remaining documents)``.  Implemented
@@ -116,18 +111,15 @@ def sample_ranking(
     realizes exactly that sequential distribution in one vectorized pass
     and is stable for unbounded scores.
     """
-    candidates = _check_candidates(candidates)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _sample_from_scores(ranker.score_all(candidates), k, rng)
+    return _sample_from_scores(ranker.score_all(_check_candidates(candidates)), rng)
 
 
-def _sample_from_scores(scores: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """The Plackett-Luce top-``min(k, n)`` of :func:`sample_ranking`, without its checks.
+def _sample_from_scores(scores: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The Plackett-Luce top-``min(DISPLAY_CUTOFF, n)`` of :func:`sample_ranking`, without its checks.
 
-    For callers that built ``scores`` themselves; ``k`` must be >= 1.
+    For callers that built ``scores`` themselves.
     """
-    return (-(scores + rng.gumbel(size=scores.shape[0]))).argsort()[:k]
+    return (-(scores + rng.gumbel(size=scores.shape[0]))).argsort()[:DISPLAY_CUTOFF]
 
 
 def sigmoid(x):

@@ -5,9 +5,10 @@ Python / small numpy, direct products, brute-force enumeration) and must
 not import from oltrsim, so tests compare two genuinely different routes
 to the same quantity.  The one exception is :func:`reference_dbgd_step`,
 the DBGD step as it was before it became one pass: it calls the package's
-direction sampler, click simulator, team-draft interleaver and oracle
-comparator, which the one-pass step calls too, and brings its own copy of
-everything the one-pass step replaced.
+direction sampler, click simulator, NDCG metric and team-draft credit,
+which the one-pass step calls too, and brings its own copy of everything
+else, both interleavers included, so that it still takes the display
+length ``k``.
 """
 
 import itertools
@@ -514,6 +515,23 @@ def reference_probabilistic_interleave(r_a, r_b, k, rng, tau=3.0):
     return displayed, assignments
 
 
+def reference_team_draft_interleave(r_a, r_b, k, rng):
+    """Team-draft interleaving of ``min(k, n)`` positions: one coin per round for the side that picks first."""
+    r_a, r_b = _reference_check_ranking_pair(r_a, r_b)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    m = min(k, r_a.size)
+    rankings = (r_a.tolist(), r_b.tolist())
+    displayed, teams = [], []
+    while len(displayed) < m:
+        first = int(rng.random() < 0.5)
+        for side in (first, 1 - first):
+            if len(displayed) < m:
+                displayed.append(next(doc for doc in rankings[side] if doc not in displayed))
+                teams.append(side)
+    return np.array(displayed, dtype=np.int64), np.array(teams, dtype=np.int64)
+
+
 def reference_infer_preference_probabilistic(displayed, clicks, r_a, r_b, tau=3.0):
     """Probabilistic-interleaving credit as first written; ``"current"``, ``"candidate"`` or ``"tie"``."""
     r_a, r_b = _reference_check_ranking_pair(r_a, r_b)
@@ -550,7 +568,7 @@ def reference_dbgd_step(state, query, click_spec, rng, k=10, *, learning_rate, s
     """
     from dataclasses import replace
 
-    from oltrsim import clicks, dbgd, ranking
+    from oltrsim import clicks, dbgd, evaluation, ranking
 
     if query.n_docs < 1:
         raise ValueError("query has no documents")
@@ -564,7 +582,8 @@ def reference_dbgd_step(state, query, click_spec, rng, k=10, *, learning_rate, s
     ranking_current, ranking_candidate = orders
 
     if state.comparator == dbgd.ORACLE:
-        outcome = dbgd.oracle_compare(ranking_current, ranking_candidate, query.relevance, k).value
+        ndcg_a, ndcg_b = (evaluation.ndcg_at_k(r, query.relevance, k) for r in (ranking_current, ranking_candidate))
+        outcome = "current" if ndcg_a > ndcg_b else "candidate" if ndcg_b > ndcg_a else "tie"
     else:
         if click_spec is None:
             raise ValueError(f"comparator {state.comparator!r} needs a click model")
@@ -575,7 +594,7 @@ def reference_dbgd_step(state, query, click_spec, rng, k=10, *, learning_rate, s
                 displayed, interaction.clicks, ranking_current, ranking_candidate, tau
             )
         else:
-            displayed, teams = dbgd.team_draft_interleave(ranking_current, ranking_candidate, k, rng)
+            displayed, teams = reference_team_draft_interleave(ranking_current, ranking_candidate, k, rng)
             interaction = clicks.simulate(displayed, query.relevance[displayed], click_spec, rng)
             outcome = dbgd.team_draft_infer(teams, interaction.clicks).value
 

@@ -46,8 +46,8 @@ def test_criterion_1_scale_invariance():
             continue
         alpha = float(10.0 ** rng.uniform(-3, 3))
         seed = int(rng.integers(1 << 31))
-        plain = rank_deterministic(ranker, docs, n, np.random.default_rng(seed))
-        scaled = rank_deterministic(LinearRanker(alpha * ranker.weights), docs, n, np.random.default_rng(seed))
+        plain = rank_deterministic(ranker, docs, np.random.default_rng(seed))
+        scaled = rank_deterministic(LinearRanker(alpha * ranker.weights), docs, np.random.default_rng(seed))
         assert plain.tolist() == scaled.tolist()
         checked += 1
     report(1, True, f"{checked} random (theta, alpha, candidates) triples ranked identically under scaling")
@@ -75,7 +75,7 @@ def test_criterion_2_plackett_luce_correctness():
             draws = 100000
             counts = {p: 0 for p in perms}
             for _ in range(draws):
-                counts[tuple(sample_ranking(ranker, docs, n, rng))] += 1
+                counts[tuple(sample_ranking(ranker, docs, rng))] += 1
             result = stats.chisquare(
                 [counts[p] for p in perms], [prob * draws for prob, p in zip(probs, perms)]
             )
@@ -199,6 +199,11 @@ def test_criterion_6_click_model_fidelity():
 
 
 def test_criterion_7_interleave_credit_exactness():
+    # A run displays all of a short query, so the m < n cases score the first
+    # m positions of the interleaving: a prefix of a probabilistic
+    # interleaving is an interleaving of that many positions, drawn from the
+    # first 2 * m numbers.  The generator then moves on by those 2 * m only,
+    # so every case is the one drawn when the interleaver took m.
     rng = np.random.default_rng(1007)
     cases = 0
     for m in range(1, 6):
@@ -207,7 +212,10 @@ def test_criterion_7_interleave_credit_exactness():
             for _ in range(3):
                 r_a = rng.permutation(n)
                 r_b = rng.permutation(n)
-                displayed, _ = probabilistic_interleave(r_a, r_b, m, rng)
+                before = rng.bit_generator.state
+                displayed = probabilistic_interleave(r_a, r_b, rng)[0][:m]
+                rng.bit_generator.state = before
+                rng.random(2 * m)
                 for pattern in itertools.product((False, True), repeat=m):
                     clicks = np.asarray(pattern)
                     outcome = infer_preference_probabilistic(displayed, clicks, r_a, r_b)

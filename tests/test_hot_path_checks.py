@@ -41,8 +41,8 @@ def non_finite_update():
         return pdgd_update(PdgdState(LinearRanker(np.zeros(2))), query, interaction)
 
 
-def dbgd_step_on(state, query=QUERY, spec=click_model(PERFECT), k=10):
-    dbgd_step(state, query, spec, np.random.default_rng(0), k)
+def dbgd_step_on(state, query=QUERY, spec=click_model(PERFECT)):
+    dbgd_step(state, query, spec, np.random.default_rng(0))
 
 
 # dbgd_step has no non-finite case: a finite state's candidate and step add
@@ -106,37 +106,21 @@ CASES = {
         lambda: simulate(np.arange(3), [1, -1, 0], click_model(ALMOST_RANDOM_CASCADING), np.random.default_rng(0)),
         "grade outside [0, 4]",
     ),
+    "simulate fractional grades": (
+        lambda: simulate(np.arange(3), [1.7, 4.9, 0.2], click_model(PERFECT), np.random.default_rng(0)),
+        "grade that is not a whole number",
+    ),
     "dbgd_step feature dimension mismatch": (
         lambda: dbgd_step_on(DbgdState(LinearRanker(np.zeros(2)))),
         "feature dimension 3 does not match ranker dimension 2",
     ),
-    "dbgd_step probabilistic without click model": (
-        lambda: dbgd_step_on(DbgdState(LinearRanker(np.zeros(3))), spec=None),
-        "comparator 'probabilistic' needs a click model",
-    ),
-    "dbgd_step team draft without click model": (
-        lambda: dbgd_step_on(DbgdState(LinearRanker(np.zeros(3)), comparator="team_draft"), spec=None),
-        "comparator 'team_draft' needs a click model",
-    ),
-    "dbgd_step probabilistic k < 1": (
-        lambda: dbgd_step_on(DbgdState(LinearRanker(np.zeros(3))), k=0),
-        "k must be >= 1",
-    ),
-    "dbgd_step team draft k < 1": (
-        lambda: dbgd_step_on(DbgdState(LinearRanker(np.zeros(3)), comparator="team_draft"), k=0),
-        "k must be >= 1",
-    ),
     "sample_ranking empty candidates": (
-        lambda: sample_ranking(LinearRanker(np.zeros(3)), np.zeros((0, 3)), 10, np.random.default_rng(0)),
+        lambda: sample_ranking(LinearRanker(np.zeros(3)), np.zeros((0, 3)), np.random.default_rng(0)),
         "candidates must be a non-empty (n_docs, dim) matrix",
     ),
     "sample_ranking feature dimension mismatch": (
-        lambda: sample_ranking(LinearRanker(np.zeros(2)), QUERY.features, 10, np.random.default_rng(0)),
+        lambda: sample_ranking(LinearRanker(np.zeros(2)), QUERY.features, np.random.default_rng(0)),
         "feature dimension 3 does not match ranker dimension 2",
-    ),
-    "sample_ranking k < 1": (
-        lambda: sample_ranking(LinearRanker(np.zeros(3)), QUERY.features, 0, np.random.default_rng(0)),
-        "k must be >= 1",
     ),
 }
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from oltrsim.ranking import (
+    DISPLAY_CUTOFF,
     LinearRanker,
     rank_deterministic,
     sample_ranking,
@@ -49,15 +50,18 @@ class TestScore:
 class TestRankDeterministic:
     def test_strict_ordering(self, rng):
         ranker, docs = ranker_for_scores([3.0, 1.0, 2.0])
-        assert rank_deterministic(ranker, docs, 3, rng).tolist() == [0, 2, 1]
+        assert rank_deterministic(ranker, docs, rng).tolist() == [0, 2, 1]
 
     def test_truncation(self, rng):
-        ranker, docs = ranker_for_scores([5.0, 4.0, 3.0, 2.0])
-        assert rank_deterministic(ranker, docs, 2, rng).tolist() == [0, 1]
+        # The deterministic order is never cut: held-out evaluation cuts it
+        # to the metric's top 10.  A sampled display is cut to DISPLAY_CUTOFF.
+        ranker, docs = ranker_for_scores(np.arange(25.0)[::-1])
+        assert rank_deterministic(ranker, docs, rng).tolist() == list(range(25))
+        assert sample_ranking(LinearRanker([1e6]), docs, rng).tolist() == list(range(DISPLAY_CUTOFF))
 
     def test_empty_candidates(self, rng):
         with pytest.raises(ValueError):
-            rank_deterministic(LinearRanker([1.0]), np.empty((0, 1)), 3, rng)
+            rank_deterministic(LinearRanker([1.0]), np.empty((0, 1)), rng)
 
     def test_tie_break_uniform_over_permutations(self):
         # All-zero scores: each of the 6 orderings should appear 1/6 of the time.
@@ -67,7 +71,7 @@ class TestRankDeterministic:
         counts = {}
         draws = 10000
         for _ in range(draws):
-            key = tuple(rank_deterministic(ranker, docs, 3, rng))
+            key = tuple(rank_deterministic(ranker, docs, rng))
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 6
         freqs = np.array([counts[p] for p in itertools.permutations(range(3))]) / draws
@@ -84,9 +88,9 @@ class TestRankDeterministic:
             docs = rng.normal(size=(n, dim))
             alpha = float(10.0 ** rng.uniform(-3, 3))
             seed = int(rng.integers(1 << 31))
-            first = rank_deterministic(ranker, docs, n, np.random.default_rng(seed))
+            first = rank_deterministic(ranker, docs, np.random.default_rng(seed))
             scaled = LinearRanker(alpha * ranker.weights)
-            second = rank_deterministic(scaled, docs, n, np.random.default_rng(seed))
+            second = rank_deterministic(scaled, docs, np.random.default_rng(seed))
             assert first.tolist() == second.tolist()
 
 
@@ -98,7 +102,7 @@ class TestSampleRanking:
         counts = {}
         draws = 60000
         for _ in range(draws):
-            key = tuple(sample_ranking(ranker, docs, 3, rng))
+            key = tuple(sample_ranking(ranker, docs, rng))
             counts[key] = counts.get(key, 0) + 1
         freqs = np.array(sorted(counts.values())) / draws
         assert len(counts) == 6
@@ -110,17 +114,17 @@ class TestSampleRanking:
         ranker, docs = ranker_for_scores(np.log([2.0, 1.0, 1.0]))
         draws = 100000
         hits = sum(
-            tuple(sample_ranking(ranker, docs, 3, rng)) == (0, 1, 2) for _ in range(draws)
+            tuple(sample_ranking(ranker, docs, rng)) == (0, 1, 2) for _ in range(draws)
         )
         assert abs(hits / draws - 0.25) < 0.01
 
     def test_single_document(self, rng):
         ranker, docs = ranker_for_scores([1.5])
-        assert sample_ranking(ranker, docs, 1, rng).tolist() == [0]
+        assert sample_ranking(ranker, docs, rng).tolist() == [0]
 
     def test_empty_candidates(self, rng):
         with pytest.raises(ValueError):
-            sample_ranking(LinearRanker([1.0]), np.empty((0, 1)), 1, rng)
+            sample_ranking(LinearRanker([1.0]), np.empty((0, 1)), rng)
 
     def test_sampled_frequencies_match_probabilities(self):
         # Chi-square of empirical full-ranking counts against the analytic
@@ -132,7 +136,7 @@ class TestSampleRanking:
         draws = 50000
         counts = {perm: 0 for perm in expected}
         for _ in range(draws):
-            counts[tuple(sample_ranking(ranker, docs, 4, rng))] += 1
+            counts[tuple(sample_ranking(ranker, docs, rng))] += 1
         chi2 = stats.chisquare(
             [counts[p] for p in expected], [expected[p] * draws for p in expected]
         )
