@@ -38,6 +38,7 @@ masking the masses anew at every position:
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,10 +78,22 @@ class DbgdState:
 
 def _rank_softness(ranking: np.ndarray) -> np.ndarray:
     """Per-document mass ``1 / rank**TAU`` implied by a full ranking."""
-    n = ranking.size
-    ranks = np.empty(n)
-    ranks[ranking] = np.arange(1, n + 1)
-    return ranks**-TAU
+    masses = np.empty(ranking.size)
+    masses[ranking] = _softness_by_rank(ranking.size)
+    return masses
+
+
+@functools.cache
+def _softness_by_rank(n: int) -> np.ndarray:
+    """Read-only ``arange(1, n + 1) ** -TAU``: the mass of each rank in a ranking of ``n``.
+
+    Built once per ranking length and kept, at 8 bytes per rank: a run
+    keeps one table per query length of its dataset, each no larger than
+    the feature matrix of a query of that length.
+    """
+    masses = np.arange(1, n + 1, dtype=np.float64) ** -TAU
+    masses.flags.writeable = False
+    return masses
 
 
 def _outcome(current, candidate) -> ComparisonOutcome:

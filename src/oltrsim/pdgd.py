@@ -9,9 +9,13 @@ the weighted sum of feature differences.
 
 The pairs of one interaction are a ``PreferencePairs``: two aligned arrays
 of display positions, clicked and unclicked, so that an update works on
-all of them at once.  The debiasing weights come from swap-index and span
-tables built once per display list length, and the weights and
-the pair preferences go through one sigmoid call (``_pair_weights``).
+all of them at once.  They depend on the click vector alone, so each
+vector's pairs, with their rows in the pair tables, are built once and
+kept in a cache bounded by the ``2 ** (DISPLAY_CUTOFF + 1) - 2`` = 2,046
+click vectors a run can display, about 1 KB each.  The debiasing weights come from
+swap-index and span tables built once per display list length, one
+contiguous row per pair, and the weights and the pair preferences go
+through one sigmoid call (``_pair_weights``).
 
 Runs take steps of ``LEARNING_RATE`` = 0.1 (Oosterhuis & de Rijke 2018).
 A run's impression (``_pdgd_step``) scores the query once to sample the
@@ -31,7 +35,7 @@ import numpy as np
 
 from .clicks import ClickModelSpec, Interaction, _draw_clicks
 from .datasets import Query
-from .ranking import LinearRanker, _sample_from_scores, check_ranking, sigmoid
+from .ranking import DISPLAY_CUTOFF, LinearRanker, _sample_from_scores, check_ranking, sigmoid
 
 LEARNING_RATE = 0.1
 
@@ -43,16 +47,21 @@ class PdgdState:
     ranker: LinearRanker
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PreferencePairs:
     """Preference pairs as position arrays: ``clicked[p]`` is preferred over ``unclicked[p]``.
 
-    Positions index the displayed list.  ``len()`` is the number of pairs,
-    so an interaction without pairs is falsy.
+    Positions index the displayed list.  ``rows`` are rows of the tables of
+    ``_pair_tables(m)`` for a list of ``m``: ``rows[0]`` is 0, the row of
+    the pair ``(0, 0)``, whose swap leaves the list as displayed, and
+    ``rows[1 + p]`` is ``clicked[p] * m + unclicked[p]``, the row of pair
+    ``p``.  ``len()`` is the number of pairs, so an interaction without
+    pairs is falsy.
     """
 
     clicked: np.ndarray
     unclicked: np.ndarray
+    rows: np.ndarray
 
     def __len__(self) -> int:
         return self.clicked.size
@@ -65,28 +74,46 @@ def infer_pairwise_preferences(interaction: Interaction) -> PreferencePairs:
     immediately follows the last click.  No clicks means no pairs.  Pairs
     are in clicked-major order: every unclicked position for the first
     click, then for the next one.  A clicked and an unclicked position are
-    always distinct and non-negative.
+    always distinct and non-negative.  The pairs of a click vector are
+    built once and shared, so their arrays are read-only.
     """
-    clicks = np.asarray(interaction.clicks, dtype=bool)
+    return _pairs_of_clicks(np.asarray(interaction.clicks, dtype=bool).tobytes())
+
+
+@functools.lru_cache(maxsize=2 ** (DISPLAY_CUTOFF + 1) - 2)
+def _pairs_of_clicks(clicks: bytes) -> PreferencePairs:
+    """The read-only pairs of one click vector, given as the bytes of its booleans.
+
+    The cache holds every click vector a run can display, of length 1 to
+    ``DISPLAY_CUTOFF`` (2,046 of them), and forgets the least recently used
+    beyond that, so its memory stays bounded for any caller.  The three
+    arrays of a vector are views of one ``bytes`` block, which makes them
+    read-only and keeps an entry to one allocation of data.
+    """
+    clicks = np.frombuffer(clicks, dtype=bool)
     clicked = clicks.nonzero()[0]
-    if clicked.size == 0:
-        return PreferencePairs(clicked, clicked)
-    unclicked = (~clicks[: clicked[-1] + 2]).nonzero()[0]
+    unclicked = (~clicks[: clicked[-1] + 2]).nonzero()[0] if clicked.size else clicked
+    clicked, unclicked = clicked.repeat(unclicked.size), np.tile(unclicked, clicked.size)
+    positions = np.concatenate((clicked, unclicked, [0], clicked * clicks.size + unclicked), dtype=np.intp)
+    block, count, size = positions.tobytes(), clicked.size, positions.itemsize
     return PreferencePairs(
-        clicked.repeat(unclicked.size),
-        unclicked[None, :].repeat(clicked.size, axis=0).ravel(),
+        np.frombuffer(block, np.intp, count),
+        np.frombuffer(block, np.intp, count, count * size),
+        np.frombuffer(block, np.intp, count + 1, 2 * count * size),
     )
 
 
 @functools.cache
 def _pair_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only tables indexed by a pair of display positions ``[i, j]``, for lists of ``m``.
+    """Read-only ``(m*m, m)`` tables with one row per pair of display positions, for lists of ``m``.
 
-    ``swap[i, j]`` is ``arange(m)`` with entries ``i`` and ``j`` exchanged,
-    and ``span[i, j]`` marks the positions ``p`` with
-    ``min(i, j) < p <= max(i, j)``.  Both are symmetric in ``i`` and ``j``.
-    Each size is built once and cached; a table holds ``m**3`` entries,
-    9 KB for a full display of ``DISPLAY_CUTOFF`` = 10.
+    Row ``i * m + j`` of ``swap_reversed`` is ``arange(m)`` with entries
+    ``i`` and ``j`` exchanged, read from the last position to the first;
+    row ``i * m + j`` of ``span`` marks the positions ``p`` with
+    ``min(i, j) < p <= max(i, j)``.  Rows are contiguous, so a gather of
+    rows and a running sum along them read memory in order.  Each size is
+    built once and cached; the two tables take ``9 * m**3`` bytes, 9 KB
+    for a full display of ``DISPLAY_CUTOFF`` = 10.
     """
     pos = np.arange(m)
     i, j = np.meshgrid(pos, pos, indexing="ij")
@@ -94,17 +121,14 @@ def _pair_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
     swap[i, j, i] = j
     swap[i, j, j] = i
     span = (pos > np.minimum(i, j)[..., None]) & (pos <= np.maximum(i, j)[..., None])
-    swap.flags.writeable = False
+    swap_reversed = np.ascontiguousarray(swap[..., ::-1]).reshape(m * m, m)
+    span = span.reshape(m * m, m)
+    swap_reversed.flags.writeable = False
     span.flags.writeable = False
-    return swap, span
+    return swap_reversed, span
 
 
-def _pair_weights(
-    scores: np.ndarray,
-    displayed: np.ndarray,
-    clicked_pos: np.ndarray,
-    unclicked_pos: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def _pair_weights(scores: np.ndarray, displayed: np.ndarray, pairs: PreferencePairs) -> tuple[np.ndarray, np.ndarray]:
     """Per pair, the debiasing weight and the model's preference, from one sigmoid.
 
     The weight is ``rho = P(R*) / (P(R) + P(R*))`` with ``R*`` the displayed
@@ -120,34 +144,35 @@ def _pair_weights(
     Every denominator is at least the undisplayed mass ``tail``; only when
     that is 0 (every document displayed, or every undisplayed mass
     underflowed) can one be 0.  Then the last one is 0, and the logs of
-    both rows of denominators are taken as log-sum-exp suffixes of the
-    displayed scores instead, which stay finite.
+    the denominators of both rankings are taken as log-sum-exp suffixes of
+    the displayed scores instead, which stay finite.
     """
-    m = displayed.size
-    exp_scores = np.exp(scores - scores.max())
-    placed = exp_scores[displayed]
-    is_displayed = np.zeros(exp_scores.size, dtype=bool)
-    is_displayed[displayed] = True
-    tail = exp_scores[~is_displayed].sum()
-    denoms = tail + placed[::-1].cumsum()[::-1]
+    top = np.maximum.reduce(scores)
+    exp_scores = np.exp(scores - top)
+    placed = exp_scores.take(displayed)
+    undisplayed = np.ones(exp_scores.size, dtype=bool)
+    undisplayed[displayed] = False
+    tail = np.add.reduce(exp_scores[undisplayed])
 
-    swap, span = _pair_tables(m)
-    swapped = swap[clicked_pos, unclicked_pos]
-    placed_star = placed[swapped]
-    denoms_star = tail + placed_star[:, ::-1].cumsum(axis=1)[:, ::-1]
-    placed_scores = scores[displayed]
-    if tail == 0 and not (denoms[-1] and denoms_star[:, -1].all()):
-        shifted = placed_scores - scores.max()
-        log_denoms = np.logaddexp.accumulate(shifted[::-1])[::-1]
-        log_denoms_star = np.logaddexp.accumulate(shifted[swapped][:, ::-1], axis=1)[:, ::-1]
-        log_ratio = log_denoms - log_denoms_star
+    # Row 0 orders the displayed list itself, row 1 + p the list with pair
+    # p swapped, each from the last position to the first, so a running sum
+    # along a row gives its denominators in reverse.
+    swap_reversed, span = _pair_tables(displayed.size)
+    orders = swap_reversed.take(pairs.rows, axis=0)
+    denoms = tail + np.add.accumulate(placed.take(orders), axis=1)
+    placed_scores = scores.take(displayed)
+    if tail == 0 and not np.logical_and.reduce(denoms[:, 0]):
+        log_denoms = np.logaddexp.accumulate((placed_scores - top).take(orders), axis=1)
     else:
-        log_ratio = np.log(denoms) - np.log(denoms_star)
-    log_odds = np.where(span[clicked_pos, unclicked_pos], log_ratio, 0.0).sum(axis=1)
+        log_denoms = np.log(denoms)
+    log_ratio = log_denoms[0, ::-1] - log_denoms[1:, ::-1]
 
-    margin = placed_scores[clicked_pos] - placed_scores[unclicked_pos]
-    both = sigmoid(np.concatenate((log_odds, margin)))
-    return both[: log_odds.size], both[log_odds.size :]
+    count = len(pairs)
+    both = np.empty(2 * count)
+    np.add.reduce(np.where(span.take(pairs.rows[1:], axis=0), log_ratio, 0.0), axis=1, out=both[:count])
+    np.subtract(placed_scores.take(pairs.clicked), placed_scores.take(pairs.unclicked), out=both[count:])
+    both = sigmoid(both)
+    return both[:count], both[count:]
 
 
 def pdgd_update(state: PdgdState, query: Query, interaction: Interaction) -> PdgdState:
@@ -162,11 +187,11 @@ def pdgd_update(state: PdgdState, query: Query, interaction: Interaction) -> Pdg
 
     displayed = check_ranking(interaction.ranking, query.n_docs)
     scores = state.ranker.score_all(query.features)
-    rho, p_ij = _pair_weights(scores, displayed, pairs.clicked, pairs.unclicked)
+    rho, p_ij = _pair_weights(scores, displayed, pairs)
     pair_scale = rho * p_ij * (1.0 - p_ij)
 
-    placed = query.features[displayed]
-    diffs = placed[pairs.clicked] - placed[pairs.unclicked]
+    placed = query.features.take(displayed, axis=0)
+    diffs = placed.take(pairs.clicked, axis=0) - placed.take(pairs.unclicked, axis=0)
     gradient = pair_scale @ diffs
     return PdgdState(LinearRanker(state.ranker.weights + LEARNING_RATE * gradient))
 

@@ -15,6 +15,7 @@ owns its generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +140,6 @@ def sample_unit_sphere(dim: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("dim must be >= 1")
     while True:
         v = rng.normal(size=dim)
-        norm = np.linalg.norm(v)
+        norm = math.sqrt(v @ v)
         if norm > 0:
             return v / norm

@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from oltrsim.clicks import Interaction
-from oltrsim.pdgd import _pair_weights, infer_pairwise_preferences
+from oltrsim.pdgd import PreferencePairs, _pair_weights, infer_pairwise_preferences
 from oltrsim.ranking import LinearRanker, sigmoid
 
 from _oracles import pl_ranking_probability
@@ -23,12 +23,13 @@ def pair_weights(scores, displayed, clicked_idx, unclicked_idx):
 
     ``scores`` covers the whole candidate set and ``displayed`` indexes it.
     """
-    rho, p_ij = _pair_weights(
-        np.asarray(scores, dtype=np.float64),
-        np.asarray(displayed),
+    displayed = np.asarray(displayed)
+    pair = PreferencePairs(
         np.array([clicked_idx]),
         np.array([unclicked_idx]),
+        np.array([0, clicked_idx * displayed.size + unclicked_idx]),
     )
+    rho, p_ij = _pair_weights(np.asarray(scores, dtype=np.float64), displayed, pair)
     return float(rho[0]), float(p_ij[0])
 
 

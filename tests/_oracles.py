@@ -11,6 +11,7 @@ else, both interleavers included, so that it still takes the display
 length ``k``.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -429,6 +430,67 @@ def reference_pair_flip_log_odds(scores, displayed, pos_hi, pos_lo):
     in_span = (positions[None, :] > a[:, None]) & (positions[None, :] <= b[:, None])
     log_ratio = np.where(in_span, np.log(denoms)[None, :] - np.log(denoms_star), 0.0)
     return log_ratio.sum(axis=1)
+
+
+@functools.cache
+def reference_pair_tables(m):
+    """Read-only ``(m, m, m)`` tables indexed by a pair of display positions ``[i, j]``.
+
+    ``swap[i, j]`` is ``arange(m)`` with entries ``i`` and ``j`` exchanged,
+    and ``span[i, j]`` marks the positions ``p`` with
+    ``min(i, j) < p <= max(i, j)``: the package's tables before they
+    became one contiguous row per pair.
+    """
+    pos = np.arange(m)
+    i, j = np.meshgrid(pos, pos, indexing="ij")
+    swap = np.broadcast_to(pos, (m, m, m)).copy()
+    swap[i, j, i] = j
+    swap[i, j, j] = i
+    span = (pos > np.minimum(i, j)[..., None]) & (pos <= np.maximum(i, j)[..., None])
+    swap.flags.writeable = False
+    span.flags.writeable = False
+    return swap, span
+
+
+def _reference_stable_sigmoid(x):
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def reference_pair_weights(scores, displayed, clicked_pos, unclicked_pos):
+    """``(rho, P(i > j))`` per pair, as the package computed them before it cached pairs per click vector.
+
+    A verbatim copy of that ``_pair_weights``, with its two 2-index table
+    gathers, its running sums over reversed views and one ``concatenate``
+    into the sigmoid, so the package's faster core can be held to it bit
+    for bit, the log-sum-exp fallback at ``tail == 0`` included.
+    """
+    m = displayed.size
+    exp_scores = np.exp(scores - scores.max())
+    placed = exp_scores[displayed]
+    is_displayed = np.zeros(exp_scores.size, dtype=bool)
+    is_displayed[displayed] = True
+    tail = exp_scores[~is_displayed].sum()
+    denoms = tail + placed[::-1].cumsum()[::-1]
+
+    swap, span = reference_pair_tables(m)
+    swapped = swap[clicked_pos, unclicked_pos]
+    placed_star = placed[swapped]
+    denoms_star = tail + placed_star[:, ::-1].cumsum(axis=1)[:, ::-1]
+    placed_scores = scores[displayed]
+    if tail == 0 and not (denoms[-1] and denoms_star[:, -1].all()):
+        shifted = placed_scores - scores.max()
+        log_denoms = np.logaddexp.accumulate(shifted[::-1])[::-1]
+        log_denoms_star = np.logaddexp.accumulate(shifted[swapped][:, ::-1], axis=1)[:, ::-1]
+        log_ratio = log_denoms - log_denoms_star
+    else:
+        log_ratio = np.log(denoms) - np.log(denoms_star)
+    log_odds = np.where(span[clicked_pos, unclicked_pos], log_ratio, 0.0).sum(axis=1)
+
+    margin = placed_scores[clicked_pos] - placed_scores[unclicked_pos]
+    both = _reference_stable_sigmoid(np.concatenate((log_odds, margin)))
+    return both[: log_odds.size], both[log_odds.size :]
 
 
 def reference_pdgd_update(weights, features, ranking, clicks, learning_rate):

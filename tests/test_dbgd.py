@@ -20,6 +20,7 @@ from oltrsim.dbgd import (
 from oltrsim.ranking import DISPLAY_CUTOFF, LinearRanker, zero_ranker
 
 from _oracles import (
+    _reference_rank_softness,
     enumerate_interleave_credit,
     reference_dbgd_step,
     reference_infer_preference_probabilistic,
@@ -390,6 +391,27 @@ def assert_steps_match(state, query, spec, rng_reference, rng_fused, steps):
         moved += not np.array_equal(new_fused.ranker.weights, fused.ranker.weights)
         fused = new_fused
     return moved
+
+
+class TestRankSoftness:
+    """Masses are scattered from one read-only table per query length, with the bits of a fresh power."""
+
+    def test_equals_the_reference_bit_for_bit(self):
+        rng = np.random.default_rng(2731)
+        for n in range(1, 201):
+            for ranking in (np.arange(n), np.arange(n)[::-1], rng.permutation(n)):
+                masses = dbgd_module._rank_softness(ranking)
+                expected = _reference_rank_softness(ranking, dbgd_module.TAU)
+                assert masses.dtype == expected.dtype and masses.tobytes() == expected.tobytes()
+
+    def test_the_table_is_shared_and_read_only(self):
+        table = dbgd_module._softness_by_rank(7)
+        assert dbgd_module._softness_by_rank(7) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 2.0
+        masses = dbgd_module._rank_softness(np.arange(7))
+        masses[0] = 2.0  # each call's masses are its own
+        assert table[0] == 1.0
 
 
 class TestStepMatchesReference:

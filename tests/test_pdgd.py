@@ -1,18 +1,29 @@
+import itertools
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 from oltrsim.clicks import Interaction
 from oltrsim.datasets import Query
-from oltrsim.pdgd import PdgdState, _pair_weights, infer_pairwise_preferences, pdgd_update
-from oltrsim.ranking import LinearRanker
+from oltrsim.pdgd import (
+    PdgdState,
+    _pair_tables,
+    _pair_weights,
+    _pairs_of_clicks,
+    infer_pairwise_preferences,
+    pdgd_update,
+)
+from oltrsim.ranking import DISPLAY_CUTOFF, LinearRanker
 
 from _enumeration import pair_preference, pair_weights
 from _oracles import (
     central_difference_gradient,
     log_pl_probability,
     reference_infer_pairwise_preferences,
+    reference_pair_tables,
+    reference_pair_weights,
     reference_pdgd_update,
 )
 
@@ -129,27 +140,121 @@ class TestPairWeight:
         # the masses exp(score - max) of the clicked document and those below
         # it underflow to 0.  Each pair's rho must still match two full
         # log-space evaluations, and the update must stay finite, silently.
-        rng = np.random.default_rng(110)
-        cases = [(np.array([[0.0], [-0.9], [-0.901]]), np.array([0, 1, 2]), np.array([False, True, False]))]
-        while len(cases) < 60:
-            n = int(rng.integers(2, 12))
-            features = np.append(0.0, rng.uniform(-1.0, 0.0, size=n - 1))[:, None]
-            displayed = rng.permutation(n)
-            clicks = rng.random(n) < 0.4
-            if clicks.any() and features[displayed[clicks.argmax()], 0] < -0.75:
-                cases.append((features, displayed, clicks))
-        for features, displayed, clicks in cases:
+        for features, displayed, clicks in underflow_cases():
             query = Query(qid="q", features=features, relevance=np.zeros(features.shape[0], dtype=np.int64))
             state = PdgdState(LinearRanker(np.array([1000.0])))
             scores = state.ranker.score_all(features)
             pairs = infer_pairwise_preferences(interaction(clicks, ranking=displayed))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                weights, _ = _pair_weights(scores, displayed, pairs.clicked, pairs.unclicked)
+                weights, _ = _pair_weights(scores, displayed, pairs)
                 after = pdgd_update(state, query, interaction(clicks, ranking=displayed))
             for weight, i, j in zip(weights, pairs.clicked, pairs.unclicked):
                 assert weight == pytest.approx(rho_by_full_recompute(scores, displayed, i, j), abs=1e-9)
             assert np.all(np.isfinite(after.ranker.weights))
+
+
+def underflow_cases():
+    """60 (features, displayed, clicks) with every document displayed and a click far below the top score.
+
+    Under weight 1000 the undisplayed mass is 0 and the clicked document's
+    mass underflows, so ``_pair_weights`` takes its log-sum-exp fallback.
+    """
+    rng = np.random.default_rng(110)
+    cases = [(np.array([[0.0], [-0.9], [-0.901]]), np.array([0, 1, 2]), np.array([False, True, False]))]
+    while len(cases) < 60:
+        n = int(rng.integers(2, 12))
+        features = np.append(0.0, rng.uniform(-1.0, 0.0, size=n - 1))[:, None]
+        displayed = rng.permutation(n)
+        clicks = rng.random(n) < 0.4
+        if clicks.any() and features[displayed[clicks.argmax()], 0] < -0.75:
+            cases.append((features, displayed, clicks))
+    return cases
+
+
+def all_click_vectors(max_length=DISPLAY_CUTOFF):
+    """Every click vector of length 1 to ``max_length``: the 2,046 a run can display."""
+    for m in range(1, max_length + 1):
+        for clicks in itertools.product((False, True), repeat=m):
+            yield np.array(clicks)
+
+
+def assert_same_bits(got, expected):
+    for a, b in zip(got, expected, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestPairCache:
+    """Pairs and their table rows are built once per click vector and read back unchanged."""
+
+    def test_cache_holds_every_displayable_click_vector(self):
+        assert _pairs_of_clicks.cache_info().maxsize == 2 ** (DISPLAY_CUTOFF + 1) - 2 == 2046
+        assert sum(1 for _ in all_click_vectors()) == 2046
+
+    def test_every_click_vector_gives_the_reference_pairs_and_table_rows(self):
+        for clicks in all_click_vectors():
+            m = clicks.size
+            pairs = infer_pairwise_preferences(interaction(clicks))
+            expected = reference_infer_pairwise_preferences(clicks)
+            assert list(zip(pairs.clicked.tolist(), pairs.unclicked.tolist())) == expected
+            assert pairs.clicked.dtype == pairs.unclicked.dtype == pairs.rows.dtype == np.intp
+            assert pairs.rows[0] == 0 and pairs.rows.size == len(pairs) + 1
+
+            swap, span = reference_pair_tables(m)
+            swap_reversed, span_rows = _pair_tables(m)
+            assert np.array_equal(swap_reversed.take(pairs.rows, axis=0)[0], np.arange(m)[::-1])
+            fresh_swap = swap[pairs.clicked, pairs.unclicked]
+            fresh_span = span[pairs.clicked, pairs.unclicked]
+            assert np.array_equal(swap_reversed.take(pairs.rows[1:], axis=0)[:, ::-1], fresh_swap)
+            assert np.array_equal(span_rows.take(pairs.rows[1:], axis=0), fresh_span)
+
+    def test_an_equal_click_vector_reads_the_same_pairs(self):
+        clicks = np.array([False, True, False, True, False])
+        first = infer_pairwise_preferences(interaction(clicks))
+        again = infer_pairwise_preferences(interaction(clicks.copy(), ranking=np.arange(5)[::-1]))
+        assert again is first
+        assert infer_pairwise_preferences(interaction(clicks[:4])) is not first
+
+    def test_cached_pairs_refuse_writes_and_reassignment(self):
+        pairs = infer_pairwise_preferences(interaction([0, 1, 0, 1, 0]))
+        for array in (pairs.clicked, pairs.unclicked, pairs.rows):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 3
+        for name in ("clicked", "unclicked", "rows"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(pairs, name, np.zeros(1, dtype=np.intp))
+        for m in range(1, DISPLAY_CUTOFF + 1):
+            for table in _pair_tables(m):
+                assert not table.flags.writeable and table.flags.c_contiguous and table.shape == (m * m, m)
+
+
+class TestPairWeightsMatchReference:
+    """The cached-row core equals the earlier two-gather ``_pair_weights`` bit for bit."""
+
+    def test_random_sweep_below_and_above_the_cutoff(self):
+        rng = np.random.default_rng(112)
+        compared = 0
+        for _ in range(3000):
+            n = int(rng.integers(1, 31))
+            scale = float(rng.choice([0.1, 1.0, 5.0, 50.0, 1000.0]))
+            scores = rng.normal(scale=scale, size=n)
+            displayed = rng.permutation(n)[:DISPLAY_CUTOFF]
+            clicks = rng.random(displayed.size) < rng.random()
+            pairs = infer_pairwise_preferences(interaction(clicks, ranking=displayed))
+            if not pairs:
+                continue
+            expected = reference_pair_weights(scores, displayed, pairs.clicked, pairs.unclicked)
+            assert_same_bits(_pair_weights(scores, displayed, pairs), expected)
+            compared += 1
+        assert compared > 2000
+
+    def test_underflow_cases_take_the_same_fallback(self):
+        for features, displayed, clicks in underflow_cases():
+            scores = features @ np.array([1000.0])
+            pairs = infer_pairwise_preferences(interaction(clicks, ranking=displayed))
+            expected = reference_pair_weights(scores, displayed, pairs.clicked, pairs.unclicked)
+            assert_same_bits(_pair_weights(scores, displayed, pairs), expected)
 
 
 class TestUpdate:

@@ -230,3 +230,13 @@ class TestSampleUnitSphere:
     def test_zero_dim_rejected(self, rng):
         with pytest.raises(ValueError):
             sample_unit_sphere(0, rng)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 46, 136])
+    def test_same_bits_and_stream_as_numpy_norm(self, dim):
+        # The norm is math.sqrt(v @ v), which for a 1-D float vector is what
+        # np.linalg.norm computes, without its Python wrapper.
+        for seed in range(1000):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            v = reference.normal(size=dim)
+            assert sample_unit_sphere(dim, rng).tobytes() == (v / np.linalg.norm(v)).tobytes()
+            assert rng.bit_generator.state == reference.bit_generator.state
