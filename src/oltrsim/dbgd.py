@@ -14,38 +14,50 @@ intermediate once.  It scores both models, ranks them with the shuffle and
 stable sort of :func:`ranking.rank_deterministic`, and, for probabilistic
 interleaving, softens each ranking into masses ``1 / rank**TAU`` once; the
 interleaving and the credit both read those two mass vectors.  It calls the
-private cores that :func:`probabilistic_interleave` and
-:func:`infer_preference_probabilistic` wrap, so it skips only their checks
-on the rankings, which the step has just built as permutations of the
-query's documents.
+private cores that the checked public functions wrap:
+:func:`_interleave_from_masses` and :func:`_infer_from_masses` for
+:func:`probabilistic_interleave` and :func:`infer_preference_probabilistic`,
+and :func:`_team_draft` for :func:`team_draft_interleave`.  So it skips only
+their checks on the rankings, which the step has just built as
+permutations of the query's documents.  It calls :func:`team_draft_infer`
+and :func:`oracle_compare` themselves.
 
 The cores give bit-identical results to drawing one number at a time and
 masking the masses anew at every position:
 
 * Every display position draws exactly one side coin and then one document
   draw, so one ``rng.random(2 * m)`` call for ``m = min(DISPLAY_CUTOFF, n)``
-  positions yields the same numbers in the same order.
+  positions yields the same numbers in the same order.  Team-draft draws
+  one coin per round of two picks, its ``ceil(m / 2)`` coins in one call.
 * Interleaving keeps a live copy of each mass vector in which the
   displayed documents are zero.  For finite masses, ``mass * True`` is
   ``mass`` and ``mass * False`` is ``0.0``, so that copy equals
   ``masses * remaining`` element for element and its running sum is the
   same.  ``TAU`` is positive and finite, so the masses are finite in
-  ``[0, 1]``.
+  ``[0, 1]``.  A zeroed mass adds nothing to the running sum, so
+  ``searchsorted(side="right")`` of ``u * total >= 0`` never lands on a
+  displayed document; only an index past the end, when ``u * total``
+  rounds up to the total, needs the fallback to the last document still in
+  play.
 * Credit still sums the remaining masses afresh at each clicked position
-  and accumulates the per-position terms in display order.
+  and accumulates the per-position terms in display order.  It sums with
+  ``np.add.reduce``, the reduction that ``ndarray.sum`` calls.
+* The oracle computes the gains and the ideal DCG@10 once and divides both
+  rankings' DCGs by that one ideal: the expressions of two
+  :func:`evaluation.ndcg_at_k` calls, so the same floats and the same ties.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .clicks import ClickModelSpec, simulate
 from .datasets import Query
-from .evaluation import ndcg_at_k
+from .evaluation import _discounts
 from .ranking import DISPLAY_CUTOFF, LinearRanker, _order_by_score, sample_unit_sphere
 
 PROBABILISTIC = "probabilistic"
@@ -142,21 +154,21 @@ def _interleave_from_masses(
     # Per position: the side coin, then the document draw.
     draws = rng.random(2 * m).tolist()
     live = (mass_a.copy(), mass_b.copy())  # displayed documents zeroed
-    remaining = np.ones(n, dtype=bool)
     cumulative = np.empty(n)
     displayed = np.empty(m, dtype=np.int64)
     assignments = np.empty(m, dtype=np.int64)
     for pos in range(m):
         side = int(draws[2 * pos] < 0.5)
         np.add.accumulate(live[side], out=cumulative)
+        # A zeroed mass leaves the running sum unchanged, so the first
+        # entry above u * total >= 0 is never a displayed document.
         doc = int(cumulative.searchsorted(draws[2 * pos + 1] * cumulative[-1], side="right"))
-        if doc >= n or not remaining[doc]:
+        if doc >= n:
             # u * total can round up to exactly total; fall back to the
             # last document still in play.
-            doc = int(np.flatnonzero(remaining)[-1])
+            doc = int(np.flatnonzero(live[side])[-1])
         displayed[pos] = doc
         assignments[pos] = side
-        remaining[doc] = False
         live[0][doc] = 0.0
         live[1][doc] = 0.0
     return displayed, assignments
@@ -194,15 +206,16 @@ def _infer_from_masses(
     remaining = np.ones(mass_a.size, dtype=bool)
     credit_diff = 0.0
     shown = 0
-    for pos in np.flatnonzero(clicks):
+    for pos in clicks.nonzero()[0].tolist():
         remaining[displayed[shown:pos]] = False
         shown = pos
         doc = displayed[pos]
         # Fresh sums keep equal-probability positions exactly tied (the
         # last displayed position in particular always contributes 0),
         # and the antisymmetric form makes swapped roles cancel exactly.
-        w_a = mass_a[doc] / mass_a[remaining].sum()
-        w_b = mass_b[doc] / mass_b[remaining].sum()
+        # np.add.reduce is the reduction ndarray.sum calls, without its wrapper.
+        w_a = mass_a[doc] / np.add.reduce(mass_a[remaining])
+        w_b = mass_b[doc] / np.add.reduce(mass_b[remaining])
         credit_diff += (w_a - w_b) / (w_a + w_b)
     return _outcome(credit_diff, 0.0)
 
@@ -218,30 +231,36 @@ def team_draft_interleave(
     contributed position ``p``.
     """
     r_a, r_b = _check_ranking_pair(r_a, r_b)
-    n = r_a.size
-    m = min(DISPLAY_CUTOFF, n)
-    rankings = (r_a, r_b)
+    return _team_draft(r_a, r_b, rng)
+
+
+def _team_draft(r_a: np.ndarray, r_b: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Team-draft interleaving of two rankings of the same documents, unchecked.
+
+    Each round of two picks draws one coin, so the ``ceil(m / 2)`` coins of
+    ``m = min(DISPLAY_CUTOFF, n)`` picks come from one ``rng.random`` call.
+    A side's next pick lies within its first ``m`` entries: every entry
+    before it is one of the fewer than ``m`` documents already shown.
+    """
+    m = min(DISPLAY_CUTOFF, r_a.size)
+    teams = []
+    for coin in rng.random((m + 1) // 2).tolist():
+        teams += (1, 0) if coin < 0.5 else (0, 1)
+    del teams[m:]
+    rankings = (r_a[:m].tolist(), r_b[:m].tolist())
     pointers = [0, 0]
-    used = np.zeros(n, dtype=bool)
-    displayed = np.empty(m, dtype=np.int64)
-    teams = np.empty(m, dtype=np.int64)
-    filled = 0
-    while filled < m:
-        first = int(rng.random() < 0.5)
-        for side in (first, 1 - first):
-            if filled == m:
-                break
-            ranking = rankings[side]
-            ptr = pointers[side]
-            while used[ranking[ptr]]:
-                ptr += 1
-            pointers[side] = ptr
-            doc = ranking[ptr]
-            displayed[filled] = doc
-            teams[filled] = side
-            used[doc] = True
-            filled += 1
-    return displayed, teams
+    used = set()
+    displayed = []
+    for side in teams:
+        ranking = rankings[side]
+        ptr = pointers[side]
+        while ranking[ptr] in used:
+            ptr += 1
+        pointers[side] = ptr + 1
+        doc = ranking[ptr]
+        displayed.append(doc)
+        used.add(doc)
+    return np.array(displayed, dtype=np.int64), np.array(teams, dtype=np.int64)
 
 
 def team_draft_infer(teams: np.ndarray, clicks: np.ndarray) -> ComparisonOutcome:
@@ -250,14 +269,27 @@ def team_draft_infer(teams: np.ndarray, clicks: np.ndarray) -> ComparisonOutcome
     clicks = np.asarray(clicks, dtype=bool)
     if teams.shape != clicks.shape:
         raise ValueError("clicks must align with the team assignments")
-    credit_a = int(np.sum(clicks & (teams == 0)))
-    credit_b = int(np.sum(clicks & (teams == 1)))
+    credit_a = np.count_nonzero(clicks & (teams == 0))
+    credit_b = np.count_nonzero(clicks & (teams == 1))
     return _outcome(credit_a, credit_b)
 
 
 def oracle_compare(r_a: np.ndarray, r_b: np.ndarray, grades: np.ndarray) -> ComparisonOutcome:
-    """Judge by true NDCG@``DISPLAY_CUTOFF`` on the current query; ties favor neither."""
-    return _outcome(ndcg_at_k(r_a, grades, DISPLAY_CUTOFF), ndcg_at_k(r_b, grades, DISPLAY_CUTOFF))
+    """Judge by true NDCG@``DISPLAY_CUTOFF`` on the current query; ties favor neither.
+
+    The expressions of two :func:`evaluation.ndcg_at_k` calls, with the
+    query's gains and ideal DCG computed once for both rankings.
+    """
+    gains = 2.0 ** np.asarray(grades) - 1.0
+    ideal = np.sort(gains)[::-1][:DISPLAY_CUTOFF]
+    idcg = float(ideal @ _discounts(ideal.size))
+    if idcg == 0.0:
+        return ComparisonOutcome.TIE
+    top_a = np.asarray(r_a)[:DISPLAY_CUTOFF]
+    top_b = np.asarray(r_b)[:DISPLAY_CUTOFF]
+    dcg_a = float(gains[top_a] @ _discounts(top_a.size))
+    dcg_b = float(gains[top_b] @ _discounts(top_b.size))
+    return _outcome(dcg_a / idcg, dcg_b / idcg)
 
 
 def dbgd_step(state: DbgdState, query: Query, click_spec: ClickModelSpec, rng: np.random.Generator) -> DbgdState:
@@ -282,10 +314,10 @@ def dbgd_step(state: DbgdState, query: Query, click_spec: ClickModelSpec, rng: n
         interaction = simulate(displayed, query.relevance[displayed], click_spec, rng)
         outcome = _infer_from_masses(displayed, interaction.clicks, mass_current, mass_candidate)
     else:
-        displayed, teams = team_draft_interleave(ranking_current, ranking_candidate, rng)
+        displayed, teams = _team_draft(ranking_current, ranking_candidate, rng)
         interaction = simulate(displayed, query.relevance[displayed], click_spec, rng)
         outcome = team_draft_infer(teams, interaction.clicks)
 
     if outcome is not ComparisonOutcome.CANDIDATE:
         return state
-    return replace(state, ranker=LinearRanker(state.ranker.weights + LEARNING_RATE * direction))
+    return DbgdState(LinearRanker(state.ranker.weights + LEARNING_RATE * direction), state.comparator)

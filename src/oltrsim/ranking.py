@@ -33,7 +33,7 @@ class LinearRanker:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.ndim != 1:
             raise ValueError("weights must be a 1-D vector")
-        if not np.isfinite(self.weights).all():
+        if not np.logical_and.reduce(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
 
     @property
@@ -100,7 +100,7 @@ def _order_by_score(scores: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     checks, for callers that built ``scores`` themselves.
     """
     perm = rng.permutation(scores.shape[0])
-    return perm[np.argsort(-scores[perm], kind="stable")]
+    return perm.take((-scores.take(perm)).argsort(kind="stable"))
 
 
 def sample_ranking(ranker: LinearRanker, candidates: np.ndarray, rng: np.random.Generator) -> np.ndarray:

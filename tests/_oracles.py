@@ -5,10 +5,10 @@ Python / small numpy, direct products, brute-force enumeration) and must
 not import from oltrsim, so tests compare two genuinely different routes
 to the same quantity.  The one exception is :func:`reference_dbgd_step`,
 the DBGD step as it was before it became one pass: it calls the package's
-direction sampler, click simulator, NDCG metric and team-draft credit,
-which the one-pass step calls too, and brings its own copy of everything
-else, both interleavers included, so that it still takes the display
-length ``k``.
+direction sampler and ``LinearRanker``, and ``evaluation.ndcg_at_k``,
+which the one-pass step no longer calls.  It brings its own copy of
+everything else: both interleavers, the click simulators and the
+team-draft credit.  It still takes the display length ``k``.
 """
 
 import functools
@@ -594,6 +594,18 @@ def reference_team_draft_interleave(r_a, r_b, k, rng):
     return np.array(displayed, dtype=np.int64), np.array(teams, dtype=np.int64)
 
 
+def reference_team_draft_infer(teams, clicks):
+    """Team-draft credit as plain counts: ``"current"``, ``"candidate"`` or ``"tie"``."""
+    credit = [0, 0]
+    for team, clicked in zip(teams.tolist(), clicks.tolist()):
+        credit[team] += clicked
+    if credit[0] > credit[1]:
+        return "current"
+    if credit[1] > credit[0]:
+        return "candidate"
+    return "tie"
+
+
 def reference_infer_preference_probabilistic(displayed, clicks, r_a, r_b, tau=3.0):
     """Probabilistic-interleaving credit as first written; ``"current"``, ``"candidate"`` or ``"tie"``."""
     r_a, r_b = _reference_check_ranking_pair(r_a, r_b)
@@ -630,7 +642,7 @@ def reference_dbgd_step(state, query, click_spec, rng, k=10, *, learning_rate, s
     """
     from dataclasses import replace
 
-    from oltrsim import clicks, dbgd, evaluation, ranking
+    from oltrsim import dbgd, evaluation, ranking
 
     if query.n_docs < 1:
         raise ValueError("query has no documents")
@@ -651,14 +663,14 @@ def reference_dbgd_step(state, query, click_spec, rng, k=10, *, learning_rate, s
             raise ValueError(f"comparator {state.comparator!r} needs a click model")
         if state.comparator == dbgd.PROBABILISTIC:
             displayed, _ = reference_probabilistic_interleave(ranking_current, ranking_candidate, k, rng, tau)
-            interaction = clicks.simulate(displayed, query.relevance[displayed], click_spec, rng)
+            clicked = reference_simulate(displayed, query.relevance[displayed], click_spec, rng)
             outcome = reference_infer_preference_probabilistic(
-                displayed, interaction.clicks, ranking_current, ranking_candidate, tau
+                displayed, clicked, ranking_current, ranking_candidate, tau
             )
         else:
             displayed, teams = reference_team_draft_interleave(ranking_current, ranking_candidate, k, rng)
-            interaction = clicks.simulate(displayed, query.relevance[displayed], click_spec, rng)
-            outcome = dbgd.team_draft_infer(teams, interaction.clicks).value
+            clicked = reference_simulate(displayed, query.relevance[displayed], click_spec, rng)
+            outcome = reference_team_draft_infer(teams, clicked)
 
     if outcome != "candidate":
         return state

@@ -17,6 +17,7 @@ from oltrsim.dbgd import (
     team_draft_infer,
     team_draft_interleave,
 )
+from oltrsim.evaluation import ndcg_at_k
 from oltrsim.ranking import DISPLAY_CUTOFF, LinearRanker, zero_ranker
 
 from _oracles import (
@@ -25,6 +26,7 @@ from _oracles import (
     reference_dbgd_step,
     reference_infer_preference_probabilistic,
     reference_probabilistic_interleave,
+    reference_team_draft_interleave,
     softened_mass,
 )
 
@@ -470,3 +472,73 @@ class TestPublicFunctionsMatchReference:
                     clicks = rng.random(shown.size) < rng.random()
                     outcome = infer_preference_probabilistic(shown, clicks, r_a, r_b)
                     assert outcome.value == reference_infer_preference_probabilistic(shown, clicks, r_a, r_b, 3.0)
+
+
+def ranking_pair_sharing_prefix(rng, n):
+    """Two random rankings of ``n`` documents; some agree on a random prefix."""
+    r_a, r_b = random_ranking_pair(rng, n)
+    if rng.random() < 0.3:
+        shared = int(rng.integers(0, n + 1))
+        rest = np.setdiff1d(np.arange(n), r_a[:shared])
+        r_b = np.concatenate([r_a[:shared], rng.permutation(rest)])
+    return r_a, r_b
+
+
+class TestCoresMatchReference:
+    """Each private core of the step equals its checked public function and the first-written reference, bit for bit."""
+
+    def test_team_draft(self):
+        rng = np.random.default_rng(2740)
+        for _ in range(1500):
+            n = int(rng.choice([1, int(rng.integers(2, 10)), DISPLAY_CUTOFF, int(rng.integers(11, 61))]))
+            r_a, r_b = ranking_pair_sharing_prefix(rng, n)
+            seed = int(rng.integers(1 << 32))
+            rng_reference, rng_public, rng_core = (np.random.default_rng(seed) for _ in range(3))
+            expected = reference_team_draft_interleave(r_a, r_b, DISPLAY_CUTOFF, rng_reference)
+            for result, generator in (
+                (team_draft_interleave(r_a, r_b, rng_public), rng_public),
+                (dbgd_module._team_draft(r_a, r_b, rng_core), rng_core),
+            ):
+                for got, want in zip(result, expected):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert generator.bit_generator.state == rng_reference.bit_generator.state
+
+    def test_oracle_compare(self):
+        rng = np.random.default_rng(2741)
+        for trial in range(1500):
+            n = int(rng.choice([1, int(rng.integers(2, 10)), DISPLAY_CUTOFF, int(rng.integers(11, 61))]))
+            kind = trial % 4
+            grades = np.zeros(n, dtype=np.int64) if kind == 0 else rng.integers(0, 5, size=n)
+            r_a, r_b = ranking_pair_sharing_prefix(rng, n)
+            if kind == 1:
+                r_b = r_a.copy()
+            elif kind == 2 and n > 1:
+                # Give two of the first DISPLAY_CUTOFF + 2 documents equal gains and swap them.
+                r_b = r_a.copy()
+                i, j = rng.choice(min(n, DISPLAY_CUTOFF + 2), size=2, replace=False)
+                grades[r_b[j]] = grades[r_b[i]]
+                r_b[[i, j]] = r_b[[j, i]]
+            expected = dbgd_module._outcome(
+                ndcg_at_k(r_a, grades, DISPLAY_CUTOFF), ndcg_at_k(r_b, grades, DISPLAY_CUTOFF)
+            )
+            assert oracle_compare(r_a, r_b, grades) is expected
+            if kind in (0, 1, 2):
+                assert expected is ComparisonOutcome.TIE
+
+    def test_probabilistic_interleave_under_forced_round_up(self):
+        rng = np.random.default_rng(2742)
+        forced = 0
+        for n in range(1, 201):
+            r_a, r_b = ranking_pair_sharing_prefix(rng, n)
+            seed = int(rng.integers(1 << 32))
+            rng_reference, rng_core = ForcedRoundUp(seed), ForcedRoundUp(seed)
+            expected = reference_probabilistic_interleave(r_a, r_b, DISPLAY_CUTOFF, rng_reference, 3.0)
+            got = dbgd_module._interleave_from_masses(
+                dbgd_module._rank_softness(r_a), dbgd_module._rank_softness(r_b), rng_core
+            )
+            for g, e in zip(got, expected):
+                assert g.dtype == e.dtype and np.array_equal(g, e)
+            assert rng_core.bit_generator.state == rng_reference.bit_generator.state
+            assert rng_core.forced == rng_reference.forced
+            forced += rng_core.forced
+        assert forced > 0
